@@ -16,6 +16,9 @@
 #include <vector>
 
 #include "core/rssd_config.hh"
+#include "crypto/chacha20.hh"
+#include "crypto/crc32.hh"
+#include "crypto/sha256.hh"
 #include "flash/nand.hh"
 #include "sim/stats.hh"
 
@@ -63,16 +66,17 @@ sweep(std::initializer_list<T> points)
  * <path> (JSON-Lines), e.g.:
  *
  *   {"bench":"offload_path",
- *    "meta":{"build":"Release","native":1,"smoke":1},
+ *    "meta":{"build":"Release","sha256":"sha-ni","chacha20":"avx2",
+ *            "crc32c":"sse4.2","smoke":1},
  *    "config":{"link_gbps":"25","content":"typical"},
  *    "metrics":{"offload_MiBps":812.4,"wire_MiBps":433.1}}
  *
  * so the perf trajectory can be tracked across PRs by diffing or
  * plotting the artifacts. Every record carries a "meta" stamp (build
- * type, RSSD_NATIVE, smoke flag) so CI artifacts are self-describing:
- * a smoke-mode or Debug number can never masquerade as a
- * paper-comparable one. Without the variable every call is a no-op,
- * keeping human-readable output the default.
+ * type, the crypto kernels this CPU dispatched to, smoke flag) so CI
+ * artifacts are self-describing: a smoke-mode or Debug number can
+ * never masquerade as a paper-comparable one. Without the variable
+ * every call is a no-op, keeping human-readable output the default.
  */
 class JsonReport
 {
@@ -98,16 +102,13 @@ class JsonReport
 #else
         const char *build_type = "unknown";
 #endif
-#ifdef RSSD_NATIVE
-        const int native = 1;
-#else
-        const int native = 0;
-#endif
         std::fprintf(file_,
                      "{\"bench\":\"%s\",\"meta\":{\"build\":\"%s\","
-                     "\"native\":%d,\"smoke\":%d},\"config\":{",
+                     "\"sha256\":\"%s\",\"chacha20\":\"%s\","
+                     "\"crc32c\":\"%s\",\"smoke\":%d},\"config\":{",
                      escaped(bench).c_str(), escaped(build_type).c_str(),
-                     native, smoke() ? 1 : 0);
+                     crypto::sha256ImplName(), crypto::chacha20ImplName(),
+                     crypto::crc32cImplName(), smoke() ? 1 : 0);
         const char *sep = "";
         for (const auto &[k, v] : config) {
             std::fprintf(file_, "%s\"%s\":\"%s\"", sep,

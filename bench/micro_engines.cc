@@ -42,6 +42,7 @@ BM_Sha256(benchmark::State &state)
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * buf.size());
+    state.SetLabel(crypto::sha256ImplName());
 }
 BENCHMARK(BM_Sha256)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
@@ -56,6 +57,7 @@ BM_HmacSha256(benchmark::State &state)
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * buf.size());
+    state.SetLabel(crypto::sha256ImplName());
 }
 BENCHMARK(BM_HmacSha256)->Arg(65536);
 
@@ -73,6 +75,7 @@ BM_ChaCha20(benchmark::State &state)
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * buf.size());
+    state.SetLabel(crypto::chacha20ImplName());
 }
 BENCHMARK(BM_ChaCha20)->Arg(4096)->Arg(1 << 20);
 

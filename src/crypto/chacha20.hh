@@ -7,6 +7,11 @@
  *    leave the device over NVMe-oE.
  *  - The ransomware attack models encrypt victim data for real, so
  *    that entropy-based detectors see genuine ciphertext statistics.
+ *
+ * Where CPUID reports AVX2, runs of 512 bytes or more that start on a
+ * block boundary are encrypted eight blocks at a time; the portable
+ * block function covers everything else and every other CPU. Both
+ * give identical bytes.
  */
 
 #ifndef RSSD_CRYPTO_CHACHA20_HH
@@ -65,6 +70,9 @@ class ChaCha20
     std::array<std::uint8_t, 64> keystream_;
     std::size_t keystreamPos_ = 64; // empty
 };
+
+/** Name of the bulk kernel ChaCha20::apply dispatches to. */
+const char *chacha20ImplName();
 
 } // namespace rssd::crypto
 

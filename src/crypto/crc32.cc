@@ -4,9 +4,10 @@
 #include <bit>
 #include <cstring>
 
-#if defined(RSSD_NATIVE) && defined(__x86_64__)
+#include "crypto/kernels.hh"
+
+#if RSSD_CRYPTO_X86
 #include <nmmintrin.h>
-#define RSSD_CRC32_SSE42 1
 #endif
 
 namespace rssd::crypto {
@@ -48,9 +49,12 @@ updateBytewise(std::uint32_t crc, const std::uint8_t *p, std::size_t len)
     return crc;
 }
 
-/** Portable sliced update over the raw (inverted) CRC state. */
+} // namespace
+
+namespace kernels {
+
 std::uint32_t
-updateSlicing8(std::uint32_t crc, const std::uint8_t *p, std::size_t len)
+crc32cPortable(std::uint32_t crc, const std::uint8_t *p, std::size_t len)
 {
     if constexpr (std::endian::native != std::endian::little)
         return updateBytewise(crc, p, len);
@@ -97,9 +101,15 @@ updateSlicing8(std::uint32_t crc, const std::uint8_t *p, std::size_t len)
     return updateBytewise(crc, p, len);
 }
 
-#ifdef RSSD_CRC32_SSE42
+#if RSSD_CRYPTO_X86
+bool
+cpuHasSse42()
+{
+    return __builtin_cpu_supports("sse4.2");
+}
+
 __attribute__((target("sse4.2"))) std::uint32_t
-updateSse42(std::uint32_t crc, const std::uint8_t *p, std::size_t len)
+crc32cSse42(std::uint32_t crc, const std::uint8_t *p, std::size_t len)
 {
     std::uint64_t c = crc;
     while (len >= 8) {
@@ -118,6 +128,10 @@ updateSse42(std::uint32_t crc, const std::uint8_t *p, std::size_t len)
 }
 #endif
 
+} // namespace kernels
+
+namespace {
+
 using UpdateFn = std::uint32_t (*)(std::uint32_t, const std::uint8_t *,
                                    std::size_t);
 
@@ -127,17 +141,18 @@ struct Impl
     const char *name;
 };
 
-Impl
-pickImpl()
+const Impl &
+impl()
 {
-#ifdef RSSD_CRC32_SSE42
-    if (__builtin_cpu_supports("sse4.2"))
-        return {updateSse42, "sse4.2"};
+    static const Impl picked = []() -> Impl {
+#if RSSD_CRYPTO_X86
+        if (kernels::cpuHasSse42())
+            return {kernels::crc32cSse42, "sse4.2"};
 #endif
-    return {updateSlicing8, "slicing8"};
+        return {kernels::crc32cPortable, "slicing8"};
+    }();
+    return picked;
 }
-
-const Impl kImpl = pickImpl();
 
 } // namespace
 
@@ -145,7 +160,7 @@ std::uint32_t
 crc32c(const void *data, std::size_t len, std::uint32_t seed)
 {
     const auto *p = static_cast<const std::uint8_t *>(data);
-    return ~kImpl.fn(~seed, p, len);
+    return ~impl().fn(~seed, p, len);
 }
 
 std::uint32_t
@@ -164,7 +179,7 @@ crc32cReference(const void *data, std::size_t len, std::uint32_t seed)
 const char *
 crc32cImplName()
 {
-    return kImpl.name;
+    return impl().name;
 }
 
 } // namespace rssd::crypto

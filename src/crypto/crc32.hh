@@ -6,10 +6,9 @@
  * Three implementations live behind one entry point:
  *  - a byte-at-a-time table walk (`crc32cReference`), the bit-exact
  *    reference every fast path is tested against;
- *  - slicing-by-8 over 64-bit words, the portable default;
- *  - an SSE4.2 `crc32q` path, compiled only when the build opts in
- *    via the `RSSD_NATIVE` CMake option and selected at runtime iff
- *    the CPU reports the feature.
+ *  - slicing-by-16 over 64-bit words, the portable fallback;
+ *  - an SSE4.2 `crc32q` path, compiled on every x86-64 build and
+ *    selected once per process iff CPUID reports the feature.
  * All three produce identical output for every input.
  */
 

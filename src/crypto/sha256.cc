@@ -1,8 +1,15 @@
 #include "crypto/sha256.hh"
 
+#include <algorithm>
 #include <cstring>
 
+#include "crypto/kernels.hh"
 #include "sim/logging.hh"
+
+#if RSSD_CRYPTO_X86
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace rssd::crypto {
 
@@ -33,16 +40,9 @@ rotr(std::uint32_t x, int n)
     return (x >> n) | (x << (32 - n));
 }
 
-} // namespace
-
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
-{
-}
-
+/** The portable compression of one 64-byte block into @p state. */
 void
-Sha256::processBlock(const std::uint8_t *block)
+compressBlock(std::uint32_t *state, const std::uint8_t *block)
 {
     // Rolling 16-word message schedule: w[] is a ring holding the
     // last 16 schedule words, so the expansion runs fused with the
@@ -55,9 +55,9 @@ Sha256::processBlock(const std::uint8_t *block)
                std::uint32_t(block[i * 4 + 3]);
     }
 
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2],
-                  d = state_[3], e = state_[4], f = state_[5],
-                  g = state_[6], h = state_[7];
+    std::uint32_t a = state[0], b = state[1], c = state[2],
+                  d = state[3], e = state[4], f = state[5],
+                  g = state[6], h = state[7];
 
     for (int i = 0; i < 64; i++) {
         std::uint32_t wi;
@@ -89,14 +89,150 @@ Sha256::processBlock(const std::uint8_t *block)
         a = t1 + t2;
     }
 
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+}
+
+#if RSSD_CRYPTO_X86
+/** Byte-swap each 32-bit word: SHA-256 reads big-endian words. */
+__attribute__((target("sha,sse4.1"))) inline __m128i
+loadBe(const std::uint8_t *p)
+{
+    const __m128i swap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+    return _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)), swap);
+}
+
+/** Rounds 4i..4i+3 on message words @p w. */
+__attribute__((target("sha,sse4.1"))) inline void
+rounds4(__m128i &abef, __m128i &cdgh, __m128i w, int i)
+{
+    __m128i wk = _mm_add_epi32(
+        w, _mm_loadu_si128(reinterpret_cast<const __m128i *>(&kK[4 * i])));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+}
+
+/** Message words 4i..4i+3 from the four groups before them. */
+__attribute__((target("sha,sse4.1"))) inline __m128i
+schedule(__m128i w4, __m128i w3, __m128i w2, __m128i w1)
+{
+    const __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w4, w3),
+                                    _mm_alignr_epi8(w1, w2, 4));
+    return _mm_sha256msg2_epu32(t, w1);
+}
+#endif
+
+using BlocksFn = void (*)(std::uint32_t *, const std::uint8_t *,
+                          std::size_t);
+
+struct Impl
+{
+    BlocksFn fn;
+    const char *name;
+};
+
+const Impl &
+impl()
+{
+    static const Impl picked = []() -> Impl {
+#if RSSD_CRYPTO_X86
+        if (kernels::cpuHasShaNi())
+            return {kernels::sha256ShaNi, "sha-ni"};
+#endif
+        return {kernels::sha256Portable, "portable"};
+    }();
+    return picked;
+}
+
+} // namespace
+
+namespace kernels {
+
+void
+sha256Portable(std::uint32_t *state, const std::uint8_t *blocks,
+               std::size_t nblocks)
+{
+    for (; nblocks > 0; nblocks--, blocks += 64)
+        compressBlock(state, blocks);
+}
+
+#if RSSD_CRYPTO_X86
+bool
+cpuHasShaNi()
+{
+    // CPUID leaf 7 EBX bit 29; read directly because not every
+    // supported compiler knows __builtin_cpu_supports("sha").
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx))
+        return false;
+    return (ebx & (1u << 29)) != 0 && __builtin_cpu_supports("sse4.1");
+}
+
+__attribute__((target("sha,sse4.1"))) void
+sha256ShaNi(std::uint32_t *state, const std::uint8_t *blocks,
+            std::size_t nblocks)
+{
+    // The SHA-NI rounds keep the state as (A,B,E,F) and (C,D,G,H).
+    const __m128i dcba =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(state));
+    const __m128i hgfe =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(state + 4));
+    const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+    const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+    for (; nblocks > 0; nblocks--, blocks += 64) {
+        const __m128i abef_in = abef;
+        const __m128i cdgh_in = cdgh;
+
+        __m128i w0 = loadBe(blocks);
+        rounds4(abef, cdgh, w0, 0);
+        __m128i w1 = loadBe(blocks + 16);
+        rounds4(abef, cdgh, w1, 1);
+        __m128i w2 = loadBe(blocks + 32);
+        rounds4(abef, cdgh, w2, 2);
+        __m128i w3 = loadBe(blocks + 48);
+        rounds4(abef, cdgh, w3, 3);
+        for (int i = 4; i < 16; i += 4) {
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4(abef, cdgh, w0, i);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4(abef, cdgh, w1, i + 1);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4(abef, cdgh, w2, i + 2);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4(abef, cdgh, w3, i + 3);
+        }
+
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state),
+                     _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state + 4),
+                     _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+} // namespace kernels
+
+Sha256::Sha256()
+    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
+{
 }
 
 void
@@ -104,6 +240,7 @@ Sha256::update(const void *data, std::size_t len)
 {
     panicIf(finished_, "Sha256::update after finish");
     const auto *p = static_cast<const std::uint8_t *>(data);
+    const BlocksFn blocks = impl().fn;
     totalLen_ += len;
 
     // Fill a partially filled buffer first.
@@ -115,15 +252,16 @@ Sha256::update(const void *data, std::size_t len)
         p += take;
         len -= take;
         if (bufferLen_ == 64) {
-            processBlock(buffer_.data());
+            blocks(state_.data(), buffer_.data(), 1);
             bufferLen_ = 0;
         }
     }
 
-    while (len >= 64) {
-        processBlock(p);
-        p += 64;
-        len -= 64;
+    if (len >= 64) {
+        const std::size_t whole = len / 64;
+        blocks(state_.data(), p, whole);
+        p += whole * 64;
+        len -= whole * 64;
     }
 
     if (len > 0) {
@@ -142,19 +280,20 @@ Digest
 Sha256::finish()
 {
     panicIf(finished_, "Sha256::finish called twice");
-
-    const std::uint64_t bit_len = totalLen_ * 8;
-    const std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    const std::uint8_t zero = 0x00;
-    while (bufferLen_ != 56)
-        update(&zero, 1);
-
-    std::uint8_t len_be[8];
-    for (int i = 0; i < 8; i++)
-        len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    update(len_be, 8);
     finished_ = true;
+
+    // The buffered tail, 0x80, zeros and the 64-bit big-endian bit
+    // length: one block if the length fits after the 0x80, else two.
+    std::uint8_t tail[128] = {};
+    std::memcpy(tail, buffer_.data(), bufferLen_);
+    tail[bufferLen_] = 0x80;
+    const std::size_t tail_len = bufferLen_ < 56 ? 64 : 128;
+    const std::uint64_t bit_len = totalLen_ * 8;
+    for (int i = 0; i < 8; i++) {
+        tail[tail_len - 8 + i] =
+            static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    }
+    impl().fn(state_.data(), tail, tail_len / 64);
 
     Digest out;
     for (int i = 0; i < 8; i++) {
@@ -235,6 +374,12 @@ hmacSha256(const std::uint8_t *key, std::size_t key_len,
     HmacSha256 mac(key, key_len);
     mac.update(data, len);
     return mac.finish();
+}
+
+const char *
+sha256ImplName()
+{
+    return impl().name;
 }
 
 std::string

@@ -6,6 +6,9 @@
  * digest covers the entry payload concatenated with the previous
  * digest, making the operation log tamper-evident (docs/ARCHITECTURE.md, "Table 1 defense
  * properties": tamper-evident forensics).
+ *
+ * Block compression runs on SHA-NI where CPUID reports it and on
+ * portable scalar code otherwise; both give identical digests.
  */
 
 #ifndef RSSD_CRYPTO_SHA256_HH
@@ -40,8 +43,6 @@ class Sha256
     static Digest hash(const std::vector<std::uint8_t> &data);
 
   private:
-    void processBlock(const std::uint8_t *block);
-
     std::array<std::uint32_t, 8> state_;
     std::array<std::uint8_t, 64> buffer_;
     std::size_t bufferLen_ = 0;
@@ -86,6 +87,9 @@ class HmacSha256
 /** One-shot HMAC-SHA256 over @p data with @p key. */
 Digest hmacSha256(const std::uint8_t *key, std::size_t key_len,
                   const void *data, std::size_t len);
+
+/** Name of the block kernel Sha256 dispatches to. */
+const char *sha256ImplName();
 
 /** Render a digest as lowercase hex. */
 std::string toHex(const Digest &d);

@@ -105,5 +105,11 @@ TEST(ChaCha20, DeriveKeyIsDeterministic)
     EXPECT_NE(ChaCha20::deriveKey("one"), ChaCha20::deriveKey("two"));
 }
 
+TEST(ChaCha20, ImplNameIsKnown)
+{
+    const std::string name = chacha20ImplName();
+    EXPECT_TRUE(name == "portable" || name == "avx2") << name;
+}
+
 } // namespace
 } // namespace rssd::crypto

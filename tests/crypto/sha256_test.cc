@@ -80,6 +80,12 @@ TEST(Sha256, ExactBlockBoundaries)
     }
 }
 
+TEST(Sha256, ImplNameIsKnown)
+{
+    const std::string name = sha256ImplName();
+    EXPECT_TRUE(name == "portable" || name == "sha-ni") << name;
+}
+
 TEST(HmacSha256, Rfc4231Case1)
 {
     std::uint8_t key[20];

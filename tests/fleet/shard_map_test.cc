@@ -204,9 +204,10 @@ TEST(ShardMap, RemoveShardPreservesSurvivingReplicas)
         // Removal is local: every old member other than the removed
         // shard keeps its replica role (possibly at a new rank).
         for (const ShardId s : before[key]) {
-            if (s != 2u)
+            if (s != 2u) {
                 EXPECT_TRUE(survivors.count(s))
                     << "key " << key << " lost survivor " << s;
+            }
         }
         EXPECT_FALSE(survivors.count(2u)) << "key " << key;
     }

@@ -305,9 +305,9 @@ twoShardJobs()
     // Shard 0: devices 0 (8 MiB, damage 10), 2 (4 MiB, damage 99).
     // Shard 1: device 1 (16 MiB, damage 5).
     std::vector<RestoreJob> jobs(3);
-    jobs[0] = {0, 0, 8 * units::MiB, 10, 100};
-    jobs[1] = {1, 1, 16 * units::MiB, 5, 200};
-    jobs[2] = {2, 0, 4 * units::MiB, 99, 300};
+    jobs[0] = {0, 0, 8 * units::MiB, 10, 100, {}};
+    jobs[1] = {1, 1, 16 * units::MiB, 5, 200, {}};
+    jobs[2] = {2, 0, 4 * units::MiB, 99, 300, {}};
     return jobs;
 }
 
@@ -422,8 +422,8 @@ TEST(RecoveryPlanner, ReplicaAwareFallsBackToThePrimary)
 TEST(RecoveryPlanner, PoliciesShareMakespanWhenOneJobPerShard)
 {
     std::vector<RestoreJob> jobs(2);
-    jobs[0] = {0, 0, 10 * units::MiB, 1, 0};
-    jobs[1] = {1, 1, 20 * units::MiB, 2, 0};
+    jobs[0] = {0, 0, 10 * units::MiB, 1, 0, {}};
+    jobs[1] = {1, 1, 20 * units::MiB, 2, 0, {}};
     const RestorePlan greedy = planRestores(
         jobs, PlanPolicy::GreedyMostDamagedFirst, mibPerSec(10));
     const RestorePlan fair =
@@ -439,8 +439,8 @@ TEST(RecoveryPlanner, HugeJobsDoNotOverflowTickArithmetic)
     // 400 MiB/s = 2^20/400 s = 2621.44 s, exactly 2621440000000 ns
     // (a wrapped multiply would land orders of magnitude off).
     std::vector<RestoreJob> jobs(2);
-    jobs[0] = {0, 0, units::TiB, 7, 0};
-    jobs[1] = {1, 0, units::TiB, 3, 0};
+    jobs[0] = {0, 0, units::TiB, 7, 0, {}};
+    jobs[1] = {1, 0, units::TiB, 3, 0, {}};
     const Tick one = 2621440000000ull;
 
     const RestorePlan greedy = planRestores(

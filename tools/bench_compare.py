@@ -4,7 +4,8 @@
 Each line is one bench record:
 
     {"bench":"offload_path",
-     "meta":{"build":"Release","native":1,"smoke":1},
+     "meta":{"build":"Release","sha256":"sha-ni","chacha20":"avx2",
+             "crc32c":"sse4.2","smoke":1},
      "config":{"link_gbps":"25","content":"typical"},
      "metrics":{"offload_MiBps":812.4,"wire_MiBps":433.1}}
 
