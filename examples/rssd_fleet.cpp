@@ -85,7 +85,7 @@
  * src/fleet/campaign.hh).
  *
  * RSSD_SMOKE=1 divides the per-device benign op count and the
- * shard-flood volume by 10 so the ctest/CI smoke entry finishes in
+ * shard-flood volume by 10 so the ctest acceptance gates finish in
  * seconds.
  */
 

@@ -12,7 +12,7 @@
  *
  * --check makes the exit code assert the forensics conclusions
  * against the campaign ground truth (patient zero, infection order,
- * campaign class) — the CI smoke job runs with it.
+ * campaign class) — the acceptance.forensics ctest gate runs with it.
  *
  * Observability knobs:
  *   --trace-out PATH    Chrome trace_event JSON of the campaign run
@@ -32,11 +32,11 @@
  *                           open when the campaign ends
  *
  * Determinism: the same flags (and RSSD_SMOKE setting) produce a
- * byte-identical report; CI byte-compares two runs. The trace and
- * metrics files are byte-identical too.
+ * byte-identical report; the acceptance gate byte-compares two runs.
+ * The trace and metrics files are byte-identical too.
  *
  * RSSD_SMOKE=1 divides the per-device benign op count and the
- * shard-flood volume by 10 so the ctest/CI smoke entry finishes in
+ * shard-flood volume by 10 so the ctest acceptance gates finish in
  * seconds.
  */
 

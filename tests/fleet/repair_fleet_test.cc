@@ -128,6 +128,26 @@ TEST(FleetRepair, GoldenHealedReportDigest)
               "b1aa182d3a576");
 }
 
+TEST(FleetRepair, SameTickMembershipAppliesBeforeBitRot)
+{
+    // Rot replica 2 of device 2 at the very tick shard 1 crashes.
+    // Membership events sort before bit-rot at one tick, so the crash
+    // re-picks the live holders first and the rot lands on a copy
+    // that survives it: the scrub must catch exactly one corruption.
+    // One tick earlier the rot hits shard 1's copy and dies with the
+    // crash — the control that makes the same-tick count meaningful.
+    const auto scrubCorruptionsWithRotAt = [](Tick at) {
+        FleetConfig cfg = healingFleet();
+        cfg.bitRot = {{at, 2, 2, 2}};
+        FleetScheduler sched(cfg);
+        const FleetReport rep = sched.run();
+        EXPECT_TRUE(rep.allChainsOk) << "rot at " << at;
+        return rep.repairStats.scrubCorruptions;
+    };
+    EXPECT_EQ(scrubCorruptionsWithRotAt(100 * units::MS), 1u);
+    EXPECT_EQ(scrubCorruptionsWithRotAt(100 * units::MS - 1), 0u);
+}
+
 TEST(FleetRepair, RepairDisabledLeavesTheDebt)
 {
     // Without the engine the same campaign ends degraded — the PR 6

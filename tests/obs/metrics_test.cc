@@ -77,7 +77,8 @@ TEST(MetricsRegistry, HistogramRendersSummaryFields)
 TEST(MetricsRegistry, SnapshotsAreDeterministic)
 {
     // The same registrations against the same state must render the
-    // same bytes — the CI smoke job byte-compares metrics files.
+    // same bytes — the acceptance.trace gate byte-compares metrics
+    // files.
     auto build = [](MetricsRegistry &r) {
         r.counter("a.ops", [] { return std::uint64_t{7}; });
         r.gauge("a.fill", [] { return 0.25; });

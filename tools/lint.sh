@@ -2,44 +2,30 @@
 # tools/lint.sh — one-command static-analysis entry point.
 #
 #   1. tools/rssd_lint.py   (determinism/custody/schema rules; GATES)
-#   2. clang-tidy           (general C++ bug classes; gates on
-#                            findings not in tools/clang-tidy-baseline.txt,
-#                            warn-only while the baseline carries the
-#                            `mode: warn-only` marker; skipped with a
-#                            note when clang-tidy or a
-#                            compile_commands.json is unavailable)
-#   3. clang-format         (changed files only; advisory unless
+#   2. clang-format         (changed files only; advisory unless
 #                            --strict-format; skipped when absent)
 #
 # Usage: tools/lint.sh [options]
 #   --changed            lint only files changed vs the merge base
-#                        (rssd_lint + format; tidy always runs on src/)
 #   --strict-format      fail on clang-format diffs
 #   --json PATH          write the rssd_lint JSON report to PATH
-#   --tidy-report PATH   write normalized clang-tidy findings to PATH
-#   --build-dir DIR      compile_commands.json location (default: build)
 #
 # Exit: non-zero if any gating step fails.
 
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
-ROOT="$PWD"
 
 CHANGED_ONLY=0
 STRICT_FORMAT=0
 JSON_OUT=""
-TIDY_REPORT=""
-BUILD_DIR="build"
 
 while [ $# -gt 0 ]; do
     case "$1" in
         --changed) CHANGED_ONLY=1 ;;
         --strict-format) STRICT_FORMAT=1 ;;
         --json) JSON_OUT="$2"; shift ;;
-        --tidy-report) TIDY_REPORT="$2"; shift ;;
-        --build-dir) BUILD_DIR="$2"; shift ;;
-        -h|--help) sed -n '2,24p' "$0"; exit 0 ;;
+        -h|--help) sed -n '2,13p' "$0"; exit 0 ;;
         *) echo "lint.sh: unknown option $1" >&2; exit 2 ;;
     esac
     shift
@@ -80,47 +66,7 @@ else
     python3 tools/rssd_lint.py "${RSSD_LINT_ARGS[@]}" || FAIL=1
 fi
 
-# ---- 2. clang-tidy vs pinned baseline -------------------------------------
-
-BASELINE="tools/clang-tidy-baseline.txt"
-if ! command -v clang-tidy >/dev/null 2>&1; then
-    echo "lint.sh: clang-tidy not found; step skipped (CI runs it)"
-elif [ ! -f "$BUILD_DIR/compile_commands.json" ]; then
-    echo "lint.sh: no $BUILD_DIR/compile_commands.json; clang-tidy" \
-         "skipped (configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)"
-else
-    tidy_raw=$(mktemp)
-    tidy_norm=$(mktemp)
-    # src/ translation units only: benches/examples/tests inherit the
-    # bulk of their code from src headers, which HeaderFilterRegex
-    # already covers.
-    find src -name '*.cc' -print0 \
-        | xargs -0 clang-tidy -p "$BUILD_DIR" --quiet \
-          >"$tidy_raw" 2>/dev/null
-    # Normalize "path:line:col: warning: ... [check]" -> "path [check]"
-    sed -nE "s|^$ROOT/||; s|^([^ :]+):[0-9]+:[0-9]+: (warning\|error): .* (\[[a-z0-9.,-]+\])\$|\1 \3|p" \
-        "$tidy_raw" | sort -u >"$tidy_norm"
-    if [ -n "$TIDY_REPORT" ]; then
-        cp "$tidy_norm" "$TIDY_REPORT"
-    fi
-    new_findings=$(grep -vxF -f <(grep -v '^#' "$BASELINE") "$tidy_norm" \
-                   || true)
-    count=$(printf '%s' "$new_findings" | grep -c . || true)
-    if [ "$count" -gt 0 ]; then
-        echo "lint.sh: $count clang-tidy finding(s) not in baseline:"
-        printf '%s\n' "$new_findings"
-        if grep -q '^# mode: warn-only' "$BASELINE"; then
-            echo "lint.sh: baseline is warn-only (unpinned) — not failing"
-        else
-            FAIL=1
-        fi
-    else
-        echo "lint.sh: clang-tidy clean vs baseline"
-    fi
-    rm -f "$tidy_raw" "$tidy_norm"
-fi
-
-# ---- 3. clang-format over changed files -----------------------------------
+# ---- 2. clang-format over changed files -----------------------------------
 
 if ! command -v clang-format >/dev/null 2>&1; then
     echo "lint.sh: clang-format not found; step skipped"
