@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "log/chain_verify.hh"
 #include "sim/logging.hh"
 
 namespace rssd::core {
@@ -55,17 +54,23 @@ DeviceHistory::build(const remote::BackupStore &store,
     // server->device direction of the link, in chain order, then
     // open locally. (In a shared shard store only the device's own
     // stream is fetched — other tenants' evidence is neither needed
-    // nor decryptable with this device's key.)
+    // nor decryptable with this device's key.) Segments inside the
+    // store's verified-prefix record were MAC'd under the same key
+    // (the store registered this device's codec); only the rest
+    // are MAC'd here.
     const std::deque<std::uint32_t> &stored =
         store.streamSegments(stream);
+    const std::uint64_t covered = store.verifiedPrefix(stream);
     Tick t = clock.now();
     segments_.reserve(stored.size());
-    for (const std::uint32_t idx : stored) {
-        const log::SealedSegment &sealed = store.sealedSegment(idx);
+    for (std::size_t i = 0; i < stored.size(); i++) {
+        const log::SealedSegment &sealed = store.sealedSegment(stored[i]);
         t = device.link().rx().transmit(sealed.wireSize(), t);
         cost_.segmentsFetched++;
         cost_.bytesFetched += sealed.wireSize();
-        segments_.push_back(device.codec().open(sealed));
+        segments_.push_back(i < covered
+                                ? device.codec().openVerified(sealed)
+                                : device.codec().open(sealed));
     }
     cost_.fetchCompleteAt = t;
     clock.advanceTo(t);
@@ -139,21 +144,14 @@ DeviceHistory::indexEntry(std::uint32_t idx)
 bool
 DeviceHistory::verifyEvidenceChain() const
 {
-    // 1. Remote side: HMACs, segment ordering, per-entry chain of
-    //    this device's stream (shared verification core — the same
-    //    rules the store enforced at ingest and the forensics
-    //    scanner replays shard-side). A pruned stream verifies from
-    //    its signed re-anchor record instead of genesis.
-    const log::PruneRecord *prune = store_->pruneRecordOf(stream_);
-    log::SegmentChainVerifier verifier;
-    if (prune && !verifier.resumeFrom(*prune, device_.codec()))
+    // 1. Remote side: the store's chain walk of this device's stream
+    //    (HMACs, segment ordering, per-entry chain; from the signed
+    //    re-anchor record on a pruned stream). It extends the
+    //    stream's verified-prefix record, so a copy the fleet audit
+    //    or replica selection already walked costs nothing here.
+    if (!store_->verifyStreamChain(stream_))
         return false;
-    for (const std::uint32_t idx : store_->streamSegments(stream_)) {
-        if (!verifier.verifyNext(store_->sealedSegment(idx),
-                                 device_.codec())) {
-            return false;
-        }
-    }
+    const log::PruneRecord *prune = store_->pruneRecordOf(stream_);
 
     // 2. Local tail chain.
     if (!device_.opLog().verifyHeldChain())

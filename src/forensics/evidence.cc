@@ -129,14 +129,25 @@ EvidenceScanner::scan()
             st.absPos = pruned;
         }
 
+        // Inside the store's verified-prefix record the MAC already
+        // passed on these exact bytes; this copy's own verifier
+        // still decrypts and re-derives the order, anchor and entry
+        // chain of every segment.
+        const std::uint64_t covered = store.verifiedPrefix(device);
         const std::uint64_t before = st.verifier.bytesVerified();
         const std::uint64_t entries_before =
             st.verifier.entriesVerified();
         while (st.absPos - pruned < stored.size()) {
-            const std::uint32_t idx = stored[st.absPos - pruned];
+            const std::uint64_t pos = st.absPos - pruned;
+            const log::SealedSegment &sealed =
+                store.sealedSegment(stored[pos]);
             log::Segment opened;
-            if (!st.verifier.verifyNext(store.sealedSegment(idx),
-                                        codec, &opened)) {
+            const bool ok =
+                pos < covered
+                    ? st.verifier.verifyNextAuthenticated(sealed, codec,
+                                                          &opened)
+                    : st.verifier.verifyNext(sealed, codec, &opened);
+            if (!ok) {
                 st.evidence.intact = false;
                 st.evidence.fault = st.verifier.fault();
                 break;

@@ -35,18 +35,26 @@ SegmentChainVerifier::verifyNext(const SealedSegment &sealed,
                                  const SegmentCodec &codec,
                                  Segment *opened_out)
 {
-    fault_ = ChainFault::None;
-
     if (!codec.verify(sealed)) {
         fault_ = ChainFault::BadAuthentication;
         return false;
     }
+    return verifyNextAuthenticated(sealed, codec, opened_out);
+}
+
+bool
+SegmentChainVerifier::verifyNextAuthenticated(
+    const SealedSegment &sealed, const SegmentCodec &codec,
+    Segment *opened_out)
+{
+    fault_ = ChainFault::None;
+
     if (sealed.prevId != expectPrev_) {
         fault_ = ChainFault::BrokenOrder;
         return false;
     }
 
-    Segment seg = codec.open(sealed);
+    Segment seg = codec.openVerified(sealed);
     if (haveTail_ && seg.chainAnchor != tail_) {
         fault_ = ChainFault::BrokenAnchor;
         return false;

@@ -12,12 +12,21 @@
  *   - the per-entry hash chain inside the segment, and that the last
  *     entry's digest equals the advertised chainTail.
  *
+ * Each segment is MAC'd once per walk: verifyNext() checks the HMAC
+ * and CRC, then decrypts through SegmentCodec::openVerified() rather
+ * than open(), which would MAC the same bytes again.
+ *
  * The verifier is *resumable*: its state after segment k is exactly
  * what is needed to verify segment k+1, so a caller that keeps the
  * verifier alive pays only for new segments when more evidence
  * arrives — the O(new) re-analysis property the cluster-side
- * forensics subsystem is built on. BackupStore::verifyFullChain()
- * and the forensics evidence scanner share this class; there is no
+ * forensics subsystem is built on. BackupStore keeps one such state
+ * per stream as its verified-prefix record, which verifyStreamChain()
+ * (and so the fleet audit, replica selection, repair and
+ * DeviceHistory) extends instead of walking from genesis. The
+ * forensics evidence scanner keeps its own per-copy verifier and,
+ * inside the store's record, enters through
+ * verifyNextAuthenticated(), which skips only the MAC. There is no
  * second copy of the chain rules to drift.
  */
 
@@ -54,6 +63,18 @@ class SegmentChainVerifier
     bool verifyNext(const SealedSegment &sealed,
                     const SegmentCodec &codec,
                     Segment *opened_out = nullptr);
+
+    /**
+     * verifyNext() minus the HMAC/CRC check, for a segment whose MAC
+     * already passed on these exact bytes: a BackupStore
+     * verified-prefix record covers it. Order, anchor and per-entry
+     * chain are still checked and the counters advance as in
+     * verifyNext(). A custody primitive (rssd_lint C1): only the
+     * files that consult the record may call it.
+     */
+    bool verifyNextAuthenticated(const SealedSegment &sealed,
+                                 const SegmentCodec &codec,
+                                 Segment *opened_out = nullptr);
 
     /**
      * Re-anchor the verifier at a retention-GC prune horizon: after

@@ -341,6 +341,12 @@ Segment
 SegmentCodec::open(const SealedSegment &sealed) const
 {
     panicIf(!verify(sealed), "segment: HMAC/CRC verification failed");
+    return openVerified(sealed);
+}
+
+Segment
+SegmentCodec::openVerified(const SealedSegment &sealed) const
+{
     // Decrypt on the fly: the keystream XOR reads the sealed payload
     // and writes the plaintext buffer in one pass, with no
     // copy-then-decrypt round trip.

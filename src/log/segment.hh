@@ -152,10 +152,23 @@ class SegmentCodec
     SealedSegment seal(const Segment &segment) const;
 
     /**
-     * Verify authenticity and decrypt. panic()s on HMAC mismatch in
-     * trusted-path code; use verify() first for adversarial inputs.
+     * Verify authenticity and decrypt: verify() plus openVerified().
+     * panic()s on HMAC/CRC mismatch in trusted-path code; use
+     * verify() first for adversarial inputs. A reader whose copy a
+     * BackupStore verified-prefix record covers already knows the
+     * MAC holds and calls openVerified() instead.
      */
     Segment open(const SealedSegment &sealed) const;
+
+    /**
+     * Decrypt, LZ-decode and deserialize *without* checking the
+     * HMAC or CRC. Only for bytes whose verify() already passed and
+     * that nothing has mutated since — the chain verifier right
+     * after its own MAC, or a reader inside a BackupStore
+     * verified-prefix record. A custody primitive: rssd_lint C1
+     * confines it to the files that consult that record.
+     */
+    Segment openVerified(const SealedSegment &sealed) const;
 
     /** Check the HMAC without decrypting. */
     bool verify(const SealedSegment &sealed) const;

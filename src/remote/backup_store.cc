@@ -158,8 +158,11 @@ BackupStore::pruneOldest(StreamId stream, StreamState &st, Tick now,
 
     // The store-side GC work: open the segment to account the log
     // entries expiring with it (the prune record advertises the
-    // first surviving logSeq to analysis and recovery).
-    const log::Segment opened = st.codec.open(sealed);
+    // first surviving logSeq to analysis and recovery). Inside the
+    // verified prefix its MAC already passed on these bytes.
+    const bool covered = st.verifiedCount > 0;
+    const log::Segment opened = covered ? st.codec.openVerified(sealed)
+                                        : st.codec.open(sealed);
 
     log::PruneRecord rec =
         st.prune.value_or(log::PruneRecord{});
@@ -172,6 +175,15 @@ BackupStore::pruneOldest(StreamId stream, StreamState &st, Tick now,
     rec.anchor = sealed.chainTail;
     st.codec.sealPrune(rec);
     st.prune = rec;
+
+    // A record that covered the pruned segment still describes the
+    // chain after its last covered survivor, one position earlier
+    // now. One that did not vouched for nothing past the old anchor:
+    // restart it from the new signed record.
+    if (covered)
+        st.verifiedCount--;
+    else
+        st.forgetVerified();
 
     st.stored.pop_front();
     st.liveBytes -= wire;
@@ -405,17 +417,34 @@ BackupStore::verifyStreamChain(StreamId stream) const
     panicIf(it == streams_.end(), "BackupStore: unknown stream");
     const StreamState &st = it->second;
 
-    log::SegmentChainVerifier verifier;
-    // A pruned stream verifies from its signed re-anchor record
-    // instead of genesis; the record substitutes for the
-    // expired prefix.
-    if (st.prune && !verifier.resumeFrom(*st.prune, st.codec))
-        return false;
-    for (const std::uint32_t idx : st.stored) {
-        if (!verifier.verifyNext(segments_[idx], st.codec))
+    if (!st.verified) {
+        log::SegmentChainVerifier fresh;
+        // A pruned stream verifies from its signed re-anchor record
+        // instead of genesis; the record substitutes for the
+        // expired prefix.
+        if (st.prune && !fresh.resumeFrom(*st.prune, st.codec))
             return false;
+        st.verified = fresh;
+    }
+    // Extend the verified prefix; a failure leaves it at the last
+    // good segment, so the next walk reports the same fault.
+    while (st.verifiedCount < st.stored.size()) {
+        stats_.segmentsChainWalked++;
+        if (!st.verified->verifyNext(
+                segments_[st.stored[st.verifiedCount]], st.codec)) {
+            return false;
+        }
+        st.verifiedCount++;
     }
     return true;
+}
+
+std::uint64_t
+BackupStore::verifiedPrefix(StreamId stream) const
+{
+    auto it = streams_.find(stream);
+    panicIf(it == streams_.end(), "BackupStore: unknown stream");
+    return it->second.verifiedCount;
 }
 
 bool
@@ -443,6 +472,7 @@ BackupStore::adoptPruneRecord(StreamId stream,
     panicIf(!st.codec.verifyPrune(record),
             "BackupStore: prune record signature mismatch");
     st.prune = record;
+    st.forgetVerified(); // anchored at genesis until now
     st.lastId = record.upToId;
     st.chainTail = record.anchor;
     st.haveTail = true;
@@ -489,6 +519,7 @@ BackupStore::corruptStoredSegment(StreamId stream, std::uint64_t k)
     panicIf(sealed.payload.empty(),
             "BackupStore: corrupting an empty payload");
     sealed.payload[sealed.payload.size() / 2] ^= 0x40;
+    st.forgetVerified();
 }
 
 void
@@ -513,6 +544,7 @@ BackupStore::injectBitRot(StreamId stream, std::uint64_t k,
             : sealed.payload.size();
     for (std::size_t i = first; i < last; i++)
         sealed.payload[i] ^= 0x5A;
+    st.forgetVerified();
 }
 
 void

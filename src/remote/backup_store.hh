@@ -30,6 +30,13 @@
  * device's chain violation leaves every other stream ingestable. The
  * single-device constructor registers its codec as stream 0, so the
  * legacy one-client API is the one-stream special case.
+ *
+ * Verify once: each stream keeps a verified-prefix record, the
+ * SegmentChainVerifier state after its first k stored segments.
+ * Every chain walk (verifyStreamChain(), and so the fleet audit and
+ * replica selection) extends it from k, and readers inside it skip
+ * the MAC. Paths that change stored bytes or the anchor shrink or
+ * reset it, so its verdicts equal a walk from scratch.
  */
 
 #ifndef RSSD_REMOTE_BACKUP_STORE_HH
@@ -137,6 +144,13 @@ struct BackupStoreStats
     std::uint64_t entriesPruned = 0; ///< log entries expired with them
     std::uint64_t agePrunes = 0;     ///< segments expired by window
     std::uint64_t pressurePrunes = 0;///< segments evicted by watermark
+
+    // -- Chain walks ----------------------------------------------------
+    /** Segments verifyStreamChain() actually verified (MAC, decrypt,
+     *  chain rules). Segments its verified-prefix record already
+     *  covered are not counted, so a re-walk of an unchanged store
+     *  adds 0. Host-work accounting only; no report emits it. */
+    std::uint64_t segmentsChainWalked = 0;
 };
 
 /**
@@ -241,15 +255,34 @@ class BackupStore : public net::CapsuleTarget
     };
     StreamTail streamTail(StreamId stream) const;
 
-    /** verifyFullChain() for a single stream. */
+    /**
+     * verifyFullChain() for a single stream. Extends the stream's
+     * verified-prefix record: only segments past it are verified,
+     * so a second walk of an unchanged stream does no work. The
+     * verdict equals that of a walk from the stream's anchor
+     * (genesis or its prune record); a failing walk leaves the
+     * record at the last good segment, so the next walk fails the
+     * same way.
+     */
     bool verifyStreamChain(StreamId stream) const;
+
+    /**
+     * Leading segments of streamSegments(@p stream) that the
+     * verified-prefix record covers: a chain walk from the stream's
+     * anchor verified them (HMAC, CRC, order, anchor, entry chain)
+     * and nothing has changed their bytes or the anchor since. A
+     * reader of the same codec may skip the MAC on these
+     * (SegmentCodec::openVerified()); the integrity scrub, which
+     * hunts rot no API call announced, does not consult it.
+     */
+    std::uint64_t verifiedPrefix(StreamId stream) const;
 
     /**
      * Fault injection (tests only): flip one byte in the @p k-th
      * live stored segment of @p stream, simulating silent replica
      * corruption. The chain metadata is untouched, so only payload
      * verification catches it — exactly the fault voting reads
-     * around.
+     * around. Flipping the same segment again restores it.
      */
     void corruptStoredSegment(StreamId stream, std::uint64_t k);
 
@@ -384,6 +417,23 @@ class BackupStore : public net::CapsuleTarget
         // -- Anti-entropy state ------------------------------------------
         bool quarantined = false; ///< scrub verdict: copy is suspect
 
+        // -- Verified-prefix record ----------------------------------------
+        /** Chain-walk state after the first `verifiedCount` entries
+         *  of `stored`, anchored at genesis or at `prune`; empty
+         *  until the first walk. Mutable: the const readers extend
+         *  it (the process has no threads). Ingest appends past it;
+         *  a prune inside it shrinks it; every other change to
+         *  stored bytes or to the anchor resets it. */
+        mutable std::optional<log::SegmentChainVerifier> verified;
+        mutable std::uint64_t verifiedCount = 0;
+
+        void
+        forgetVerified()
+        {
+            verified.reset();
+            verifiedCount = 0;
+        }
+
         explicit StreamState(const log::SegmentCodec &c) : codec(c) {}
     };
 
@@ -413,7 +463,9 @@ class BackupStore : public net::CapsuleTarget
     std::uint64_t liveSegments_ = 0;
     std::uint64_t used_ = 0;
     RejectReason lastReject_ = RejectReason::None;
-    BackupStoreStats stats_;
+    /** Mutable for segmentsChainWalked, which the const chain walk
+     *  counts into. */
+    mutable BackupStoreStats stats_;
     obs::TraceSink *trace_ = nullptr;
     std::uint64_t traceTid_ = 0;
 };

@@ -192,6 +192,33 @@ TEST(FleetHealth, CrashCampaignRaisesThenClearsRepairDebt)
     EXPECT_GT(rep.repairConvergedAt, rep.makespan);
 }
 
+TEST(FleetHealth, CrashCampaignWalksEachStoredCopyOnce)
+{
+    // The throttled repair asks chainVerifyingReplicaOf() for every
+    // queued stream on every 1 ms tick, and the end-of-run audit,
+    // the forensics scan and each DeviceHistory walk the same copies
+    // again. Each store's verified-prefix record makes every such
+    // walk extend the last one, so no store chain-walks more
+    // segments than it ever accepted.
+    FleetScheduler sched(crashCampaign());
+    sched.run();
+    const forensics::ForensicsReport fr = sched.runForensics();
+    ASSERT_FALSE(fr.recovery.empty()); // DeviceHistory walks ran too
+
+    const remote::BackupCluster &cluster = sched.cluster();
+    std::uint64_t walked = 0;
+    for (remote::ShardId s = 0; s < cluster.shardCount(); s++) {
+        if (!cluster.shardAlive(s))
+            continue;
+        const remote::BackupStoreStats &st =
+            cluster.shardStore(s).stats();
+        EXPECT_LE(st.segmentsChainWalked, st.segmentsAccepted)
+            << "shard " << s;
+        walked += st.segmentsChainWalked;
+    }
+    EXPECT_GT(walked, 0u);
+}
+
 TEST(FleetHealth, CrashCampaignTelemetryIsDeterministic)
 {
     const FleetConfig cfg = crashCampaign();

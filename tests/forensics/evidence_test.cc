@@ -93,6 +93,40 @@ TEST(SegmentChainVerifier, RejectsSplicedStream)
     EXPECT_EQ(v.fault(), log::ChainFault::BrokenAnchor);
 }
 
+TEST(SegmentChainVerifier, AuthenticatedEntrySkipsOnlyTheMac)
+{
+    // For segments whose MAC already passed, the MAC-skipping entry
+    // point advances exactly like verifyNext() and still enforces
+    // order and anchor.
+    test::SegmentChain chain("auth-key");
+    test::SegmentChain other("auth-key");
+    const log::SealedSegment s0 = chain.next(2);
+    const log::SealedSegment s1 = chain.next(3);
+    (void)other.next(4); // other's history diverges from chain's
+    const log::SealedSegment o1 = other.next(2);
+    const log::SealedSegment s2 = chain.next(2);
+
+    log::SegmentChainVerifier full;
+    log::SegmentChainVerifier skip;
+    log::Segment a, b;
+    ASSERT_TRUE(full.verifyNext(s0, chain.codec(), &a));
+    ASSERT_TRUE(skip.verifyNextAuthenticated(s0, chain.codec(), &b));
+    EXPECT_EQ(a.entries.size(), b.entries.size());
+    EXPECT_EQ(full.chainTail(), skip.chainTail());
+
+    EXPECT_FALSE(skip.verifyNextAuthenticated(s2, chain.codec()));
+    EXPECT_EQ(skip.fault(), log::ChainFault::BrokenOrder);
+    EXPECT_FALSE(skip.verifyNextAuthenticated(o1, chain.codec()));
+    EXPECT_EQ(skip.fault(), log::ChainFault::BrokenAnchor);
+
+    ASSERT_TRUE(full.verifyNext(s1, chain.codec()));
+    ASSERT_TRUE(skip.verifyNextAuthenticated(s1, chain.codec()));
+    EXPECT_EQ(full.segmentsVerified(), skip.segmentsVerified());
+    EXPECT_EQ(full.bytesVerified(), skip.bytesVerified());
+    EXPECT_EQ(full.entriesVerified(), skip.entriesVerified());
+    EXPECT_EQ(full.chainTail(), skip.chainTail());
+}
+
 // ---------------------------------------------------------------------
 // EvidenceScanner over a live cluster
 // ---------------------------------------------------------------------
@@ -332,6 +366,61 @@ TEST_F(PrunedScannerTest, HorizonOvertakingCursorKeepsCache)
     EXPECT_EQ(ev.entries.front().logSeq, 0u);
     EXPECT_EQ(ev.entries.back().logSeq,
               ev.entriesPruned + (ev.entries.size() - cached) - 1);
+}
+
+TEST_F(EvidenceScannerTest, RotAfterTheRecordWarmedIsStillCaught)
+{
+    // The scanner skips the MAC only inside the store's
+    // verified-prefix record. Rot injected after a full audit warmed
+    // that record must shrink what it covers, so the scanner MACs
+    // the rotten segment itself and faults there.
+    writeAndDrain(dev0_, 64, 0x11);
+    writeAndDrain(dev1_, 24, 0x22);
+    ASSERT_TRUE(cluster_.verifyAll());
+    const remote::ShardId s = cluster_.shardOfDevice(0);
+    ASSERT_GE(cluster_.shardStore(s).streamSegments(0).size(), 2u);
+    cluster_.mutableShardStore(s).injectBitRot(0, 1, 0, 1);
+
+    EvidenceScanner scanner(cluster_);
+    scanner.scan();
+    const StreamEvidence &ev = scanner.evidence(0);
+    EXPECT_FALSE(ev.intact);
+    EXPECT_EQ(ev.fault, log::ChainFault::BadAuthentication);
+    EXPECT_EQ(ev.segmentsVerified, 1u);
+    EXPECT_TRUE(scanner.evidence(1).intact);
+}
+
+TEST_F(EvidenceScannerTest, WarmRecordLeavesPassCostsUnchanged)
+{
+    // Two scanners read the same new suffix: one MACs it (it lies
+    // past the store's record), the other skips the MAC (an audit
+    // extended the record over it first). Both count and replay the
+    // same.
+    writeAndDrain(dev0_, 24, 0x11);
+    EvidenceScanner cold(cluster_);
+    EvidenceScanner warm(cluster_);
+    cold.scan();
+    warm.scan();
+
+    writeAndDrain(dev0_, 24, 0x33);
+    const remote::BackupStore &store =
+        cluster_.shardStore(cluster_.shardOfDevice(0));
+    ASSERT_LT(store.verifiedPrefix(0), store.streamSegments(0).size());
+    const ScanPassCost macs = cold.scan();
+    ASSERT_TRUE(cluster_.verifyAll());
+    ASSERT_EQ(store.verifiedPrefix(0), store.streamSegments(0).size());
+    const ScanPassCost skips = warm.scan();
+
+    EXPECT_GT(macs.segmentsVerified, 0u);
+    EXPECT_EQ(skips.segmentsVerified, macs.segmentsVerified);
+    EXPECT_EQ(skips.segmentsCached, macs.segmentsCached);
+    EXPECT_EQ(skips.bytesVerified, macs.bytesVerified);
+    EXPECT_EQ(skips.entriesReplayed, macs.entriesReplayed);
+    const StreamEvidence &a = cold.evidence(0);
+    const StreamEvidence &b = warm.evidence(0);
+    ASSERT_EQ(a.entries.size(), b.entries.size());
+    for (std::size_t i = 0; i < a.entries.size(); i++)
+        EXPECT_EQ(a.entries[i].chain, b.entries[i].chain);
 }
 
 TEST_F(EvidenceScannerTest, ScanMatchesStoreVerifyFullChain)

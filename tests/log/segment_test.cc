@@ -190,6 +190,68 @@ TEST(SegmentCodec, ChainTailTamperDetected)
     EXPECT_FALSE(codec.verify(sealed));
 }
 
+/** One field of a struct under test, as raw bytes to flip. */
+struct FlipField
+{
+    const char *name;
+    std::uint8_t *bytes;
+    std::size_t size;
+};
+
+template <typename T>
+FlipField
+flipField(const char *name, T &value)
+{
+    return {name, reinterpret_cast<std::uint8_t *>(&value),
+            sizeof value};
+}
+
+/**
+ * Flip every bit of every field in turn, expect @p accepts to reject
+ * each flip, and undo it. @return the number of flips tried.
+ */
+template <typename Accepts>
+std::size_t
+sweepEveryBit(const std::vector<FlipField> &fields, Accepts accepts)
+{
+    std::size_t flips = 0;
+    for (const FlipField &f : fields) {
+        for (std::size_t bit = 0; bit < f.size * 8; bit++) {
+            const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+            f.bytes[bit / 8] ^= mask;
+            EXPECT_FALSE(accepts()) << f.name << " bit " << bit;
+            f.bytes[bit / 8] ^= mask;
+            flips++;
+        }
+    }
+    return flips;
+}
+
+TEST(SegmentCodec, EveryBitFlipIsRejected)
+{
+    // Custody's first line: a verified-prefix record may skip the
+    // MAC only because no single flipped bit anywhere in a sealed
+    // segment survives verify().
+    const SegmentCodec codec = SegmentCodec::fromSeed("k");
+    SealedSegment t = codec.seal(sampleSegment(2, 0));
+    ASSERT_TRUE(codec.verify(t));
+    ASSERT_FALSE(t.payload.empty());
+
+    const std::size_t flips = sweepEveryBit(
+        {flipField("id", t.id),
+         flipField("prevId", t.prevId),
+         {"chainAnchor", t.chainAnchor.data(), t.chainAnchor.size()},
+         {"chainTail", t.chainTail.data(), t.chainTail.size()},
+         flipField("rawSize", t.rawSize),
+         {"payload", t.payload.data(), t.payload.size()},
+         {"hmac", t.hmac.data(), t.hmac.size()},
+         flipField("crc", t.crc)},
+        [&] { return codec.verify(t); });
+    EXPECT_EQ(flips, 8 * (8 + 8 + 32 + 32 + 8 + t.payload.size() + 32 +
+                          4));
+    EXPECT_TRUE(codec.verify(t)); // every flip was undone
+}
+
 // ---------------------------------------------------------------------
 // Prune records (retention-GC chain re-anchors)
 // ---------------------------------------------------------------------
@@ -218,31 +280,24 @@ TEST(PruneRecord, SealVerifyRoundtrip)
 
 TEST(PruneRecord, EveryFieldIsAuthenticated)
 {
+    // Every bit of every field, the signature included.
     const SegmentCodec codec = SegmentCodec::fromSeed("prune-key");
-    PruneRecord rec = samplePrune();
-    codec.sealPrune(rec);
+    PruneRecord t = samplePrune();
+    codec.sealPrune(t);
+    ASSERT_TRUE(codec.verifyPrune(t));
 
-    PruneRecord t = rec;
-    t.stream ^= 1;
-    EXPECT_FALSE(codec.verifyPrune(t));
-    t = rec;
-    t.upToId ^= 1;
-    EXPECT_FALSE(codec.verifyPrune(t));
-    t = rec;
-    t.segmentsPruned ^= 1;
-    EXPECT_FALSE(codec.verifyPrune(t));
-    t = rec;
-    t.entriesPruned ^= 1;
-    EXPECT_FALSE(codec.verifyPrune(t));
-    t = rec;
-    t.bytesPruned ^= 1;
-    EXPECT_FALSE(codec.verifyPrune(t));
-    t = rec;
-    t.prunedAt ^= 1;
-    EXPECT_FALSE(codec.verifyPrune(t));
-    t = rec;
-    t.anchor[0] ^= 1;
-    EXPECT_FALSE(codec.verifyPrune(t));
+    const std::size_t flips = sweepEveryBit(
+        {flipField("stream", t.stream),
+         flipField("upToId", t.upToId),
+         flipField("segmentsPruned", t.segmentsPruned),
+         flipField("entriesPruned", t.entriesPruned),
+         flipField("bytesPruned", t.bytesPruned),
+         flipField("prunedAt", t.prunedAt),
+         {"anchor", t.anchor.data(), t.anchor.size()},
+         {"hmac", t.hmac.data(), t.hmac.size()}},
+        [&] { return codec.verifyPrune(t); });
+    EXPECT_EQ(flips, 8u * (6 * 8 + 32 + 32));
+    EXPECT_TRUE(codec.verifyPrune(t));
 }
 
 TEST(PruneRecord, WrongKeyRejected)

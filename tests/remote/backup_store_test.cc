@@ -578,6 +578,195 @@ TEST_F(RetentionGcTest, PrunedSlotsAreTombstonedThenRecycled)
     EXPECT_TRUE(store->verifyFullChain());
 }
 
+// ---------------------------------------------------------------------
+// Verified-prefix record: chain walks extend it instead of starting
+// over, and every path that changes stored bytes or the anchor
+// shrinks or resets it, so its verdicts equal a walk from scratch.
+// ---------------------------------------------------------------------
+
+class VerifiedPrefixTest : public ::testing::Test
+{
+  protected:
+    static constexpr StreamId kStream = 3;
+
+    VerifiedPrefixTest() : chain_("prefix-device", 5)
+    {
+        store_ = makeStore();
+    }
+
+    /** GC-enabled store: segments expire 10 ms after arrival. */
+    std::unique_ptr<BackupStore>
+    makeStore()
+    {
+        BackupStoreConfig cfg;
+        cfg.retention.gcEnabled = true;
+        cfg.retention.retentionWindow = 10 * units::MS;
+        auto store = std::make_unique<BackupStore>(cfg);
+        store->registerStream(kStream, chain_.codec());
+        return store;
+    }
+
+    /** Ingest @p n small segments, all arriving at @p at. */
+    void
+    ingest(int n, Tick at = 0)
+    {
+        Tick ack = 0;
+        for (int i = 0; i < n; i++) {
+            ASSERT_TRUE(
+                store_->ingestSegment(kStream, chain_.next(2), at, ack));
+        }
+    }
+
+    std::uint64_t
+    walked() const
+    {
+        return store_->stats().segmentsChainWalked;
+    }
+
+    test::SegmentChain chain_;
+    std::unique_ptr<BackupStore> store_;
+};
+
+TEST_F(VerifiedPrefixTest, SecondWalkOfAnUnchangedStoreVerifiesNothing)
+{
+    ingest(4);
+    EXPECT_EQ(store_->verifiedPrefix(kStream), 0u);
+    ASSERT_TRUE(store_->verifyFullChain());
+    EXPECT_EQ(walked(), 4u);
+    EXPECT_EQ(store_->verifiedPrefix(kStream), 4u);
+
+    ASSERT_TRUE(store_->verifyFullChain());
+    EXPECT_EQ(walked(), 4u);
+
+    // Ingest appends past the record: only the new suffix is walked.
+    ingest(2);
+    EXPECT_EQ(store_->verifiedPrefix(kStream), 4u);
+    ASSERT_TRUE(store_->verifyStreamChain(kStream));
+    EXPECT_EQ(walked(), 6u);
+}
+
+TEST_F(VerifiedPrefixTest, PruneInsideThePrefixAddsNoWalk)
+{
+    for (int i = 0; i < 4; i++)
+        ingest(1, Tick(i) * units::MS);
+    ASSERT_TRUE(store_->verifyFullChain());
+    ASSERT_EQ(walked(), 4u);
+
+    // Expires the segments that arrived at 0, 1 and 2 ms, all inside
+    // the record.
+    store_->runRetentionGc(12 * units::MS);
+    ASSERT_EQ(store_->prunedSegments(kStream), 3u);
+    EXPECT_EQ(store_->verifiedPrefix(kStream), 1u);
+    EXPECT_TRUE(store_->verifyFullChain());
+    EXPECT_EQ(walked(), 4u);
+}
+
+TEST_F(VerifiedPrefixTest, PrunePastThePrefixRestartsFromTheSignedRecord)
+{
+    ingest(1, 0);
+    ASSERT_TRUE(store_->verifyFullChain()); // record covers segment 0
+    ingest(1, 1 * units::MS);
+    ingest(1, 2 * units::MS);
+    ingest(1, 5 * units::MS);
+
+    // Expires segment 0 (covered: the record shrinks to 0) and then
+    // segment 1 (never walked: the record restarts from the new
+    // prune record). Segment 2 must then verify against that
+    // record, not against the stale state after segment 0.
+    store_->runRetentionGc(11 * units::MS);
+    ASSERT_EQ(store_->prunedSegments(kStream), 2u);
+    EXPECT_EQ(store_->verifiedPrefix(kStream), 0u);
+    EXPECT_TRUE(store_->verifyFullChain());
+    EXPECT_EQ(walked(), 1u + 2u);
+    EXPECT_EQ(store_->verifiedPrefix(kStream), 2u);
+}
+
+TEST_F(VerifiedPrefixTest, EveryPayloadByteRotIsCaughtThroughAWarmRecord)
+{
+    ingest(3);
+    ASSERT_TRUE(store_->verifyStreamChain(kStream));
+    const std::size_t payload =
+        store_->sealedSegment(store_->streamSegments(kStream)[1])
+            .payload.size();
+    ASSERT_GT(payload, 0u);
+
+    for (std::size_t b = 0; b < payload; b++) {
+        store_->injectBitRot(kStream, 1, b, 1);
+        EXPECT_FALSE(store_->verifyStreamChain(kStream)) << "byte " << b;
+        // A failed walk leaves the record at the last good segment,
+        // so the next walk reports the same fault.
+        EXPECT_EQ(store_->verifiedPrefix(kStream), 1u);
+        EXPECT_FALSE(store_->verifyFullChain()) << "byte " << b;
+        store_->injectBitRot(kStream, 1, b, 1); // XOR 0x5A undoes it
+        EXPECT_TRUE(store_->verifyStreamChain(kStream)) << "byte " << b;
+    }
+    // Per byte, the rot forces a walk of segments 0 and 1, the
+    // repeat re-walks segment 1, and the undo forces all three.
+    EXPECT_EQ(walked(), 3u + payload * (2u + 1u + 3u));
+}
+
+TEST_F(VerifiedPrefixTest, EveryCorruptionIsCaughtThroughAWarmRecord)
+{
+    ingest(3);
+    ASSERT_TRUE(store_->verifyStreamChain(kStream));
+    for (std::uint64_t k = 0; k < 3; k++) {
+        const std::uint64_t before = walked();
+        store_->corruptStoredSegment(kStream, k);
+        EXPECT_FALSE(store_->verifyStreamChain(kStream)) << "seg " << k;
+        EXPECT_EQ(store_->verifiedPrefix(kStream), k);
+        EXPECT_EQ(walked(), before + k + 1); // forced re-walk
+        store_->corruptStoredSegment(kStream, k); // flips it back
+        EXPECT_TRUE(store_->verifyStreamChain(kStream)) << "seg " << k;
+        EXPECT_EQ(store_->verifiedPrefix(kStream), 3u);
+    }
+}
+
+TEST_F(VerifiedPrefixTest, AdoptedPruneRecordReanchorsTheRecord)
+{
+    // A source store that pruned its prefix.
+    for (int i = 0; i < 3; i++)
+        ingest(1, Tick(i) * units::MS);
+    store_->runRetentionGc(11 * units::MS);
+    ASSERT_EQ(store_->prunedSegments(kStream), 2u);
+    const log::PruneRecord rec = *store_->pruneRecordOf(kStream);
+    const log::SealedSegment survivor =
+        store_->sealedSegment(store_->streamSegments(kStream)[0]);
+
+    // A fresh replica walks its empty stream first (record anchored
+    // at genesis), then adopts the prune record and the survivor.
+    std::unique_ptr<BackupStore> replica = makeStore();
+    ASSERT_TRUE(replica->verifyStreamChain(kStream));
+    replica->adoptPruneRecord(kStream, rec);
+    Tick ack = 0;
+    ASSERT_TRUE(
+        replica->ingestSegment(kStream, survivor, 11 * units::MS, ack));
+    EXPECT_TRUE(replica->verifyStreamChain(kStream));
+    EXPECT_EQ(replica->verifiedPrefix(kStream), 1u);
+}
+
+TEST(VerifiedPrefixCluster, ReplicaPickPassesOverACopyRottedAfterWarmup)
+{
+    BackupClusterConfig cfg;
+    cfg.shards = 3;
+    cfg.replication = 2;
+    BackupCluster cluster(cfg);
+    test::SegmentChain chain("pick-device");
+    cluster.attachDevice(0, chain.codec());
+    Tick ack = 0;
+    for (int i = 0; i < 3; i++)
+        ASSERT_TRUE(cluster.ingest(0, chain.next(2, 128), 0, ack));
+
+    const ShardId first = cluster.chainVerifyingReplicaOf(0);
+    ASSERT_EQ(first, cluster.replicaSetOf(0)[0]);
+    ASSERT_EQ(cluster.shardStore(first).verifiedPrefix(0), 3u);
+    const ShardId second = cluster.replicaSetOf(0)[1];
+
+    cluster.mutableShardStore(first).injectBitRot(0, 1, 7, 1);
+    EXPECT_EQ(cluster.chainVerifyingReplicaOf(0), second);
+    cluster.mutableShardStore(first).injectBitRot(0, 1, 7, 1);
+    EXPECT_EQ(cluster.chainVerifyingReplicaOf(0), first);
+}
+
 TEST(StoreFaultInjection, ScriptedCorruptionIsCaughtByStreamVerify)
 {
     // The shared FaultInjector harness against a single-shard

@@ -130,10 +130,12 @@ class LintFixtureTest(unittest.TestCase):
                     "src/detect/bad_c1.cc"})
             proc, report = self.lint_json(tmp)
             self.assertEqual(proc.returncode, 1)
-            hits = self.assert_rule_fires(report, "C1", 2)
+            hits = self.assert_rule_fires(report, "C1", 4)
             msgs = " ".join(h["message"] for h in hits)
             self.assertIn("resumeFrom", msgs)
             self.assertIn("verifyPrune", msgs)
+            self.assertIn("verifyNextAuthenticated", msgs)
+            self.assertIn("openVerified", msgs)
 
     def test_c1_quiet_on_allowlisted_file(self):
         # The same references are fine from the owning layer.

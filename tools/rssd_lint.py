@@ -20,8 +20,10 @@ those invariants as named, suppressible rules:
       bumping the constant fails, and any drift fails until
       --fix-manifests re-pins it
   C1  chain-custody locality: resumeFrom / sealPrune / verifyPrune /
-      adoptPruneRecord are referenced only from allowlisted files —
-      the "ONE re-anchoring primitive" rule
+      adoptPruneRecord (the "ONE re-anchoring primitive" rule) and
+      the MAC-skipping openVerified / verifyNextAuthenticated (only
+      where a BackupStore verified-prefix record vouches for the MAC)
+      are referenced only from allowlisted files
   P1  panicIf(cond, <string-building expression>) in hot-path files:
       the message argument is evaluated unconditionally, so a
       concatenation or std::to_string heap-allocates on every call
@@ -111,11 +113,19 @@ MANIFEST_DIR = "tools/manifests"
 
 # C1: custody symbols and the only files allowed to reference them.
 # Scope: src/ — tests exercise the primitives directly by design.
+# The MAC-skipping entry points are legal only in the codec, the
+# verifier, and the readers that consult the store's verified-prefix
+# record before skipping.
+C1_MAC_SKIP_FILES = {
+    "src/log/segment.hh", "src/log/segment.cc",
+    "src/log/chain_verify.hh", "src/log/chain_verify.cc",
+    "src/remote/backup_store.cc", "src/core/history.cc",
+    "src/forensics/evidence.cc",
+}
 C1_CUSTODY = {
     "resumeFrom": {
         "src/log/chain_verify.hh", "src/log/chain_verify.cc",
-        "src/remote/backup_store.cc", "src/core/history.cc",
-        "src/forensics/evidence.cc",
+        "src/remote/backup_store.cc", "src/forensics/evidence.cc",
     },
     "sealPrune": {
         "src/log/segment.hh", "src/log/segment.cc",
@@ -133,6 +143,8 @@ C1_CUSTODY = {
         "src/remote/backup_cluster.hh", "src/remote/backup_cluster.cc",
         "src/remote/repair_engine.cc",
     },
+    "openVerified": C1_MAC_SKIP_FILES,
+    "verifyNextAuthenticated": C1_MAC_SKIP_FILES,
 }
 
 # P1: hot-path prefixes where a panicIf message must not allocate.
@@ -729,9 +741,10 @@ def check_c1(ctx):
             out.append(Finding(
                 "C1", ctx.relpath, t.line,
                 f"chain-custody primitive `{t.text}` referenced "
-                "outside its allowlist — re-anchoring lives in ONE "
-                "place; route through the owning layer or extend the "
-                "allowlist in tools/rssd_lint.py with review"))
+                "outside its allowlist — re-anchoring and MAC "
+                "skipping live in ONE place; route through the owning "
+                "layer or extend the allowlist in tools/rssd_lint.py "
+                "with review"))
     return out
 
 
