@@ -91,10 +91,7 @@
 
 #include <cstdio>
 
-#include "examples/argparse.hh"
-#include "fleet/scheduler.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "examples/fleet_cli.hh"
 #include "sim/stats.hh"
 
 using namespace rssd;
@@ -116,35 +113,14 @@ const char *kUsage =
 
 constexpr std::uint64_t kNoFlag = ~0ull;
 
-void
-writeTextFile(const std::string &path, const std::string &text,
-              const char *what)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        fatal("cannot open " + path);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    std::printf("%s written to %s\n", what, path.c_str());
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     examples::ArgParser args(argc, argv);
-    // rssd-lint: allow-next-line(D1) smoke switch shrinks the campaign; every run at a given size/seed stays byte-identical
-    const bool smoke = std::getenv("RSSD_SMOKE") != nullptr;
-
-    fleet::FleetConfig cfg;
-    cfg.devices =
-        static_cast<std::uint32_t>(args.u64("--devices", 16));
-    cfg.shards = static_cast<std::uint32_t>(args.u64("--shards", 4));
-    cfg.seed = args.u64("--seed", 7);
-    cfg.opsPerDevice = args.u64("--ops", 400);
-    cfg.campaign.scenario =
-        fleet::scenarioByName(args.str("--scenario", "outbreak"));
+    examples::FleetCli cli(args);
+    fleet::FleetConfig &cfg = cli.config;
     const std::uint64_t capacity_mb =
         args.u64("--shard-capacity-mb", 0);
     const std::uint64_t retention_ms = args.u64("--retention-ms", 0);
@@ -172,18 +148,7 @@ main(int argc, char **argv)
         args.u64("--bitrot-at-ms", kNoFlag);
     const std::uint64_t bitrot_device = args.u64("--bitrot-device", 0);
     const bool repair_check = args.flag("--repair-check");
-    const std::string json_path = args.str("--json", "");
-    const std::string trace_path = args.str("--trace-out", "");
-    const std::string metrics_path = args.str("--metrics-out", "");
-    std::uint64_t health_interval_ms =
-        args.u64("--health-interval-ms", 0);
-    const std::string health_path = args.str("--health-out", "");
-    const bool health_check = args.flag("--health-check");
-    args.finish(kUsage);
-
-    if (health_interval_ms == 0 &&
-        (!health_path.empty() || health_check))
-        health_interval_ms = 1;
+    cli.finish(args, kUsage);
 
     if (repair) {
         cfg.repair.enabled = true;
@@ -191,7 +156,6 @@ main(int argc, char **argv)
         cfg.repair.burstBytes = repair_burst_kb * 1024;
         cfg.repair.scrubInterval = scrub_ms * units::MS;
     }
-    cfg.health.interval = health_interval_ms * units::MS;
     if (bitrot_at_ms != kNoFlag) {
         // Rot the second live copy-holder (mod live holders), a few
         // segments in — a non-primary copy so foreground ingest and
@@ -224,33 +188,15 @@ main(int argc, char **argv)
     if (capacity_mb > 0 || retention_ms > 0)
         cfg.cluster.shard.retention.gcEnabled = true;
 
-    if (smoke) {
-        cfg.opsPerDevice = std::max<std::uint64_t>(
-            1, cfg.opsPerDevice / 10);
-        cfg.campaign.floodPages = std::max<std::uint64_t>(
-            1, cfg.campaign.floodPages / 10);
-        // A tenth of the flood over the full span would barely
-        // overwrite — scale the shape, not break it (flood pressure
-        // comes from overwritten versions entering retention).
-        cfg.campaign.floodSpanFraction /= 10.0;
-    }
-
     std::printf("rssd_fleet: %u devices -> %u shards (R=%u), "
                 "scenario \"%s\", seed %llu%s\n",
                 cfg.devices, cfg.shards, cfg.replication,
                 fleet::scenarioName(cfg.campaign.scenario),
                 static_cast<unsigned long long>(cfg.seed),
-                smoke ? " [RSSD_SMOKE]" : "");
+                cli.smoke ? " [RSSD_SMOKE]" : "");
 
     fleet::FleetScheduler sched(cfg);
-
-    obs::TraceSink trace;
-    if (!trace_path.empty())
-        sched.attachTrace(&trace);
-    obs::MetricsRegistry registry;
-    if (!metrics_path.empty())
-        sched.registerMetrics(registry);
-
+    cli.attach(sched);
     const fleet::FleetReport report = sched.run();
 
     std::printf("\n%-7s %-10s %-6s %9s %9s %7s %9s\n", "device",
@@ -370,24 +316,7 @@ main(int argc, char **argv)
         }
     }
 
-    bool check_ok = true;
-    if (health_check) {
-        // The SLO acceptance gate: transient alerts that raised and
-        // cleared are reported but pass; an alert still open at end
-        // of run means the fleet finished unhealthy.
-        if (report.health.alertsOpen != 0) {
-            std::printf("health-check: FAIL (%llu alerts still open "
-                        "at end of run)\n",
-                        static_cast<unsigned long long>(
-                            report.health.alertsOpen));
-            check_ok = false;
-        } else {
-            std::printf("health-check: OK (%llu alerts raised, all "
-                        "cleared)\n",
-                        static_cast<unsigned long long>(
-                            report.health.alertsRaised));
-        }
-    }
+    bool check_ok = cli.healthVerdict(report);
 
     if (retention_check) {
         // The capacity-pressure acceptance gate: after a campaign
@@ -560,17 +489,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (!json_path.empty())
-        writeTextFile(json_path, report.toJson(), "FleetReport");
-    if (!trace_path.empty())
-        writeTextFile(trace_path, trace.toChromeJson(), "trace");
-    if (!metrics_path.empty()) {
-        writeTextFile(metrics_path, registry.snapshotJson(),
-                      "metrics");
-    }
-    if (!health_path.empty()) {
-        writeTextFile(health_path, sched.healthTimeSeriesJsonl(),
-                      "health time series");
-    }
+    cli.writeOutputs(sched, report, "FleetReport");
     return report.allChainsOk && check_ok ? 0 : 1;
 }

@@ -42,10 +42,7 @@
 
 #include <cstdio>
 
-#include "examples/argparse.hh"
-#include "fleet/scheduler.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "examples/fleet_cli.hh"
 #include "sim/stats.hh"
 
 using namespace rssd;
@@ -59,85 +56,33 @@ const char *kUsage =
     "[--metrics-out PATH] [--health-interval-ms N] "
     "[--health-out PATH] [--health-check]";
 
-void
-writeTextFile(const std::string &path, const std::string &text,
-              const char *what)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        fatal("cannot open " + path);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    std::printf("%s written to %s\n", what, path.c_str());
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     examples::ArgParser args(argc, argv);
-    // rssd-lint: allow-next-line(D1) smoke switch shrinks the campaign; every run at a given size/seed stays byte-identical
-    const bool smoke = std::getenv("RSSD_SMOKE") != nullptr;
-
-    fleet::FleetConfig cfg;
-    cfg.devices =
-        static_cast<std::uint32_t>(args.u64("--devices", 16));
-    cfg.shards = static_cast<std::uint32_t>(args.u64("--shards", 4));
-    cfg.seed = args.u64("--seed", 7);
-    cfg.opsPerDevice = args.u64("--ops", 400);
-    cfg.campaign.scenario =
-        fleet::scenarioByName(args.str("--scenario", "outbreak"));
-    const std::string json_path = args.str("--json", "");
+    examples::FleetCli cli(args);
     const bool check = args.flag("--check");
-    const std::string trace_path = args.str("--trace-out", "");
-    const std::string metrics_path = args.str("--metrics-out", "");
-    std::uint64_t health_interval_ms =
-        args.u64("--health-interval-ms", 0);
-    const std::string health_path = args.str("--health-out", "");
-    const bool health_check = args.flag("--health-check");
-    args.finish(kUsage);
-
-    if (health_interval_ms == 0 &&
-        (!health_path.empty() || health_check))
-        health_interval_ms = 1;
-    cfg.health.interval = health_interval_ms * units::MS;
-
-    if (smoke) {
-        cfg.opsPerDevice = std::max<std::uint64_t>(
-            1, cfg.opsPerDevice / 10);
-        cfg.campaign.floodPages = std::max<std::uint64_t>(
-            1, cfg.campaign.floodPages / 10);
-        // Shrink the flood *span* with the flood volume: the attack
-        // signature (junk overwriting junk) needs the flood to wrap
-        // its span, and a 10x-smaller flood over the full span would
-        // never overwrite — smoke must scale the shape, not break it.
-        cfg.campaign.floodSpanFraction /= 10.0;
-    }
+    cli.finish(args, kUsage);
+    const fleet::FleetConfig &cfg = cli.config;
 
     std::printf("rssd_forensics: campaign \"%s\" over %u devices -> "
                 "%u shards, seed %llu%s\n",
                 fleet::scenarioName(cfg.campaign.scenario),
                 cfg.devices, cfg.shards,
                 static_cast<unsigned long long>(cfg.seed),
-                smoke ? " [RSSD_SMOKE]" : "");
+                cli.smoke ? " [RSSD_SMOKE]" : "");
 
     fleet::FleetScheduler sched(cfg);
-
-    obs::TraceSink trace;
-    if (!trace_path.empty())
-        sched.attachTrace(&trace);
-    obs::MetricsRegistry registry;
-    if (!metrics_path.empty())
-        sched.registerMetrics(registry);
-
+    cli.attach(sched);
     const fleet::FleetReport fleet_report = sched.run();
     const forensics::ForensicsReport report = sched.runForensics();
 
     // The scanner exists only after runForensics(); registering here
     // still precedes the snapshot (closures sample at write time).
-    if (!metrics_path.empty() && sched.evidenceScanner() != nullptr) {
-        sched.evidenceScanner()->registerMetrics(registry,
+    if (!cli.metricsPath.empty() && sched.evidenceScanner() != nullptr) {
+        sched.evidenceScanner()->registerMetrics(cli.registry,
                                                  "forensics.");
     }
 
@@ -205,7 +150,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(restored),
                 worst_after * 100);
 
-    bool health_ok = true;
     if (fleet_report.health.enabled) {
         std::printf("health: %llu samples, %llu alerts raised "
                     "(%llu open), worst severity %s\n",
@@ -217,33 +161,8 @@ main(int argc, char **argv)
                         fleet_report.health.alertsOpen),
                     fleet_report.health.worstSeverity.c_str());
     }
-    if (health_check) {
-        if (fleet_report.health.alertsOpen != 0) {
-            std::printf("health-check: FAIL (%llu alerts still open "
-                        "at end of run)\n",
-                        static_cast<unsigned long long>(
-                            fleet_report.health.alertsOpen));
-            health_ok = false;
-        } else {
-            std::printf("health-check: OK (%llu alerts raised, all "
-                        "cleared)\n",
-                        static_cast<unsigned long long>(
-                            fleet_report.health.alertsRaised));
-        }
-    }
-
-    if (!json_path.empty())
-        writeTextFile(json_path, report.toJson(), "ForensicsReport");
-    if (!trace_path.empty())
-        writeTextFile(trace_path, trace.toChromeJson(), "trace");
-    if (!metrics_path.empty()) {
-        writeTextFile(metrics_path, registry.snapshotJson(),
-                      "metrics");
-    }
-    if (!health_path.empty()) {
-        writeTextFile(health_path, sched.healthTimeSeriesJsonl(),
-                      "health time series");
-    }
+    const bool health_ok = cli.healthVerdict(fleet_report);
+    cli.writeOutputs(sched, report, "ForensicsReport");
 
     if (check) {
         const bool ok = report.patientZeroMatch &&

@@ -1,9 +1,11 @@
 #include "fleet/scheduler.hh"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "compress/datagen.hh"
 #include "core/history.hh"
@@ -76,13 +78,27 @@ struct FleetScheduler::Actor
 FleetScheduler::FleetScheduler(const FleetConfig &config)
     : config_(config)
 {
-    panicIf(config.devices == 0, "FleetScheduler: zero devices");
-    panicIf(config.shards == 0, "FleetScheduler: zero shards");
-    panicIf(config.meanOpGap == 0, "FleetScheduler: meanOpGap == 0");
-    panicIf(config.replication == 0,
-            "FleetScheduler: replication == 0");
-    panicIf(config.replication > config.shards,
+    fatalIf(config.devices == 0, "FleetScheduler: zero devices");
+    fatalIf(config.shards == 0, "FleetScheduler: zero shards");
+    fatalIf(config.meanOpGap == 0, "FleetScheduler: meanOpGap == 0");
+    fatalIf(config.replication == 0, "FleetScheduler: replication == 0");
+    fatalIf(config.replication > config.shards,
             "FleetScheduler: replication exceeds shards");
+    // Joiners take the next fresh ids, so a crash or leave may name
+    // one; whether that shard is up at its tick is run state.
+    std::uint64_t shard_ids = config.shards;
+    for (const MembershipEvent &e : config.membership)
+        shard_ids += e.kind == MembershipKind::JoinShard;
+    for (const MembershipEvent &e : config.membership) {
+        fatalIf(e.kind != MembershipKind::JoinShard && e.shard >= shard_ids,
+                "FleetScheduler: membership event targets unknown "
+                "shard " + std::to_string(e.shard));
+    }
+    for (const BitRotEvent &e : config.bitRot) {
+        fatalIf(e.device >= config.devices,
+                "FleetScheduler: bit-rot targets unknown device " +
+                    std::to_string(e.device));
+    }
 
     remote::BackupClusterConfig cluster_cfg = config_.cluster;
     cluster_cfg.shards = config_.shards;
@@ -98,8 +114,11 @@ FleetScheduler::FleetScheduler(const FleetConfig &config)
     }
 
     // Per-device seeds come off one master stream in device-id order:
-    // device k's whole behavior is independent of fleet size.
+    // device k's whole behavior is independent of fleet size. The
+    // (victim, attacker) seeds are drawn for every device but used
+    // only for the ones the campaign infects.
     Rng master(config_.seed);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> attack_seeds;
 
     for (std::uint32_t id = 0; id < config_.devices; id++) {
         const std::uint64_t rng_seed = master.next();
@@ -134,7 +153,7 @@ FleetScheduler::FleetScheduler(const FleetConfig &config)
                 actor->dev->attachDetector(d.get());
         }
 
-        actorSeeds_.push_back({victim_seed, attack_seed});
+        attack_seeds.push_back({victim_seed, attack_seed});
         actors_.push_back(std::move(actor));
     }
 
@@ -148,7 +167,7 @@ FleetScheduler::FleetScheduler(const FleetConfig &config)
         Actor &a = *actors_[id];
         a.victim = std::make_unique<attack::VictimDataset>(
             0, config_.campaign.victimPages, 0.7,
-            actorSeeds_[id].first);
+            attack_seeds[id].first);
         a.victim->populate(*a.dev);
 
         FleetAttacker::Params params;
@@ -158,7 +177,7 @@ FleetScheduler::FleetScheduler(const FleetConfig &config)
         attack::AttackConfig attack_cfg;
         attack_cfg.attackerKeySeed =
             "r4ns0m-fleet-" + std::to_string(id);
-        attack_cfg.rngSeed = actorSeeds_[id].second;
+        attack_cfg.rngSeed = attack_seeds[id].second;
         a.attacker =
             std::make_unique<FleetAttacker>(params, attack_cfg);
     }
@@ -244,24 +263,20 @@ FleetScheduler::registerMetrics(obs::MetricsRegistry &registry) const
     // Fleet-wide offload aggregates: the health rules watch the
     // fleet, not one device, so the park/resubmit/reject totals are
     // summed across every actor at sample time.
-    registry.counter("fleet.offloadParks", [this] {
-        std::uint64_t n = 0;
-        for (const auto &actor : actors_)
-            n += actor->dev->offload().stats().parks;
-        return n;
-    });
-    registry.counter("fleet.offloadResubmits", [this] {
-        std::uint64_t n = 0;
-        for (const auto &actor : actors_)
-            n += actor->dev->offload().stats().resubmits;
-        return n;
-    });
-    registry.counter("fleet.remoteRejects", [this] {
-        std::uint64_t n = 0;
-        for (const auto &actor : actors_)
-            n += actor->dev->offload().stats().remoteRejects;
-        return n;
-    });
+    const auto total = [this](std::uint64_t core::OffloadStats::*field) {
+        return [this, field] {
+            std::uint64_t n = 0;
+            for (const auto &actor : actors_)
+                n += actor->dev->offload().stats().*field;
+            return n;
+        };
+    };
+    registry.counter("fleet.offloadParks",
+                     total(&core::OffloadStats::parks));
+    registry.counter("fleet.offloadResubmits",
+                     total(&core::OffloadStats::resubmits));
+    registry.counter("fleet.remoteRejects",
+                     total(&core::OffloadStats::remoteRejects));
 }
 
 const std::string &
@@ -275,90 +290,44 @@ std::vector<obs::HealthRule>
 defaultHealthRules(const FleetConfig &config)
 {
     using obs::Cmp;
-    using obs::HealthRule;
     using obs::Severity;
     using obs::Signal;
+    const Tick hold = 2 * units::MS;
 
-    std::vector<HealthRule> rules;
-
-    // Quorum writes kept waiting: live replicas below the write
-    // quorum. Never happens on a healthy ring, so any sustained
-    // stall rate is a real incident.
-    {
-        HealthRule r;
-        r.id = "quorum_stall";
-        r.metric = "cluster.quorumStalls";
-        r.signal = Signal::Rate;
-        r.cmp = Cmp::Gt;
-        r.threshold = 0;
-        r.holdFor = 2 * units::MS;
-        r.severity = Severity::Warn;
-        rules.push_back(r);
-    }
-    // The remote store refusing segments: devices are parking
-    // sealed bytes and burning resubmit probes.
-    {
-        HealthRule r;
-        r.id = "offload_parked";
-        r.metric = "fleet.offloadParks";
-        r.signal = Signal::Rate;
-        r.cmp = Cmp::Gt;
-        r.threshold = 0;
-        r.holdFor = 2 * units::MS;
-        r.severity = Severity::Warn;
-        rules.push_back(r);
-    }
-    // An ingest queue pinned at its admission limit — the point
-    // where backpressure turns into rejects.
-    {
-        HealthRule r;
-        r.id = "shard_backlog";
-        r.metric = "cluster.pendingMax";
-        r.signal = Signal::Value;
-        r.cmp = Cmp::Ge;
-        r.threshold = config.cluster.maxPending;
-        r.holdFor = 2 * units::MS;
-        r.severity = Severity::Warn;
-        rules.push_back(r);
-    }
-    // Rejects persisting while retention GC runs: the steady state
-    // leaks work instead of absorbing it.
-    {
-        HealthRule r;
-        r.id = "gc_reject";
-        r.metric = "cluster.segmentsRejected";
-        r.signal = Signal::Rate;
-        r.cmp = Cmp::Gt;
-        r.threshold = 0;
-        r.holdFor = 2 * units::MS;
-        r.severity = Severity::Warn;
-        rules.push_back(r);
-    }
+    // Fields: id, metric, signal, cmp, threshold, holdFor, severity.
+    std::vector<obs::HealthRule> rules = {
+        // Quorum writes kept waiting: live replicas below the write
+        // quorum. Never happens on a healthy ring, so any sustained
+        // stall rate is a real incident.
+        {"quorum_stall", "cluster.quorumStalls", Signal::Rate, Cmp::Gt,
+         0, hold, Severity::Warn},
+        // The remote store refusing segments: devices are parking
+        // sealed bytes and burning resubmit probes.
+        {"offload_parked", "fleet.offloadParks", Signal::Rate, Cmp::Gt,
+         0, hold, Severity::Warn},
+        // An ingest queue pinned at its admission limit — the point
+        // where backpressure turns into rejects.
+        {"shard_backlog", "cluster.pendingMax", Signal::Value, Cmp::Ge,
+         config.cluster.maxPending, hold, Severity::Warn},
+        // Rejects persisting while retention GC runs: the steady state
+        // leaks work instead of absorbing it.
+        {"gc_reject", "cluster.segmentsRejected", Signal::Rate, Cmp::Gt,
+         0, hold, Severity::Warn},
+    };
     if (config.repair.enabled) {
         // Repair debt outstanding longer than a few engine wakeups
         // should be needed to start paying it down.
-        HealthRule r;
-        r.id = "repair_debt";
-        r.metric = "repair.oldestDebtAgeNs";
-        r.signal = Signal::Value;
-        r.cmp = Cmp::Gt;
-        r.threshold = 5 * config.repair.tickInterval;
-        r.holdFor = 0;
-        r.severity = Severity::Critical;
-        rules.push_back(r);
+        rules.push_back({"repair_debt", "repair.oldestDebtAgeNs",
+                         Signal::Value, Cmp::Gt,
+                         5 * config.repair.tickInterval, 0,
+                         Severity::Critical});
     }
     if (config.repair.enabled && config.repair.scrubInterval != 0) {
         // Integrity scrubbing finding corrupted copies — silent
         // data loss in progress.
-        HealthRule r;
-        r.id = "scrub_rot";
-        r.metric = "repair.scrubCorruptions";
-        r.signal = Signal::Rate;
-        r.cmp = Cmp::Gt;
-        r.threshold = 0;
-        r.holdFor = 0;
-        r.severity = Severity::Critical;
-        rules.push_back(r);
+        rules.push_back({"scrub_rot", "repair.scrubCorruptions",
+                         Signal::Rate, Cmp::Gt, 0, 0,
+                         Severity::Critical});
     }
     return rules;
 }
@@ -371,6 +340,116 @@ thinkTime(Rng &rng, Tick mean_gap)
 {
     return mean_gap / 2 + rng.below(mean_gap);
 }
+
+/**
+ * One actor on the event spine: wake(at) runs it at tick @p at and
+ * returns its next wakeup tick, or 0 once it is finished. The
+ * optional finish hook runs after the spine empties; it takes the
+ * running end tick and returns the tick it reached.
+ */
+struct SpineActor
+{
+    std::function<Tick(Tick)> wake;
+    std::function<Tick(Tick)> finish;
+};
+
+/**
+ * The scripted-fault actor: FleetConfig::membership then bitRot,
+ * stable-sorted by tick, so membership applies before bit-rot at a
+ * shared tick and each list keeps its order. It wakes at tick 0 and
+ * then at each fault's tick. The only product code that corrupts
+ * stored evidence.
+ */
+class ScriptedFaults
+{
+  public:
+    ScriptedFaults(const FleetConfig &config,
+                   remote::BackupCluster &cluster, obs::TraceSink *trace)
+        : cluster_(cluster), trace_(trace)
+    {
+        for (const MembershipEvent &e : config.membership)
+            faults_.push_back({e.at, &e});
+        for (const BitRotEvent &e : config.bitRot)
+            faults_.push_back({e.at, &e});
+        std::stable_sort(faults_.begin(), faults_.end(),
+                         [](const Fault &a, const Fault &b) {
+                             return a.at < b.at;
+                         });
+    }
+
+    /** Apply every fault due at @p at; return the next fault's tick,
+     *  or 0 after the last one. */
+    Tick
+    wake(Tick at)
+    {
+        for (; next_ < faults_.size() && faults_[next_].at == at; next_++) {
+            std::visit([&](auto *e) { apply(*e, at); },
+                       faults_[next_].event);
+        }
+        return next_ < faults_.size() ? faults_[next_].at : 0;
+    }
+
+  private:
+    struct Fault
+    {
+        Tick at;
+        std::variant<const MembershipEvent *, const BitRotEvent *> event;
+    };
+
+    void
+    apply(const MembershipEvent &e, Tick at)
+    {
+        remote::ShardId shard = e.shard;
+        const char *name = "crash-shard";
+        switch (e.kind) {
+          case MembershipKind::CrashShard:
+            cluster_.crashShard(e.shard);
+            break;
+          case MembershipKind::JoinShard:
+            shard = cluster_.joinShard(at);
+            name = "join-shard";
+            break;
+          case MembershipKind::LeaveShard:
+            cluster_.leaveShard(e.shard, at);
+            name = "leave-shard";
+            break;
+        }
+        if (trace_ != nullptr) {
+            trace_->instant("fleet", name, obs::kTrackFleet, 0, at,
+                            {{"shard", shard}});
+        }
+    }
+
+    /** Rot the replicaIdx-th live replica-set member whose copy
+     *  stores segments; a no-op when no copy does. */
+    void
+    apply(const BitRotEvent &e, Tick at)
+    {
+        if (trace_ != nullptr) {
+            trace_->instant("fleet", "bit-rot", obs::kTrackFleet, 0, at,
+                            {{"device", e.device}});
+        }
+        std::vector<remote::ShardId> holders;
+        for (const remote::ShardId s : cluster_.replicaSetOf(e.device)) {
+            if (cluster_.shardAlive(s) &&
+                cluster_.shardStore(s).hasStream(e.device) &&
+                !cluster_.shardStore(s).streamSegments(e.device).empty())
+                holders.push_back(s);
+        }
+        if (holders.empty())
+            return;
+        remote::BackupStore &store = cluster_.mutableShardStore(
+            holders[e.replicaIdx % holders.size()]);
+        const std::uint64_t count = store.streamSegments(e.device).size();
+        store.injectBitRot(e.device, std::min(e.segmentIdx, count - 1),
+                           /*first_byte=*/7, /*byte_count=*/5);
+    }
+
+    remote::BackupCluster &cluster_;
+    obs::TraceSink *trace_;
+    std::vector<Fault> faults_;
+    std::size_t next_ = 0;
+};
 
 } // namespace
 
@@ -436,163 +515,86 @@ FleetScheduler::run()
     panicIf(ran_, "FleetScheduler: run() twice");
     ran_ = true;
 
-    using Event = std::pair<Tick, std::uint32_t>;
+    // The spine's actors in registration order, which is also the
+    // tie-break at a shared tick: devices by id, the scripted faults,
+    // the repair engine, the health sampler. A fault at tick T lands
+    // after every device op at T, and the sampler observes after
+    // everything else at T: one consistent cut per interval.
+    using Event = std::pair<Tick, std::size_t>;
     std::priority_queue<Event, std::vector<Event>, std::greater<>>
         queue;
+    std::vector<SpineActor> spine;
+    const auto add = [&](Tick first_wake, SpineActor actor) {
+        queue.push({first_wake, spine.size()});
+        spine.push_back(std::move(actor));
+    };
+
+    std::uint32_t active = deviceCount(); // devices still issuing ops
     for (auto &actor : actors_) {
-        queue.push({actor->clock.now() +
-                        thinkTime(actor->rng, config_.meanOpGap),
-                    actor->id});
+        Actor &a = *actor;
+        add(a.clock.now() + thinkTime(a.rng, config_.meanOpGap),
+            {[this, &a, &active](Tick at) {
+                 a.clock.advanceTo(at);
+                 const Tick next = step(a);
+                 if (next == 0)
+                     active--;
+                 return next;
+             },
+             // Ship every straggler segment, in device-id order.
+             [&a](Tick) {
+                 a.dev->drainOffload();
+                 return a.clock.now();
+             }});
     }
+    ScriptedFaults faults(config_, *cluster_, trace_);
+    add(0, {[&faults](Tick at) { return faults.wake(at); }, nullptr});
 
-    // Membership and bit-rot events ride the same spine with ids
-    // past the device range, so the (tick, id) tie-break sorts them
-    // after every device wakeup at the same tick — deterministically.
-    const std::uint32_t membership_base = config_.devices;
-    const std::uint32_t bitrot_base =
-        membership_base +
-        static_cast<std::uint32_t>(config_.membership.size());
-    const std::uint32_t engine_id =
-        bitrot_base + static_cast<std::uint32_t>(config_.bitRot.size());
-    for (std::uint32_t i = 0; i < config_.membership.size(); i++)
-        queue.push({config_.membership[i].at, membership_base + i});
-    for (std::uint32_t i = 0; i < config_.bitRot.size(); i++)
-        queue.push({config_.bitRot[i].at, bitrot_base + i});
-
-    // The repair engine is a periodic actor on the same spine: its
-    // copies pass through the shard ingest queues, so repair traffic
-    // and foreground quorum writes contend deterministically.
-    std::uint32_t active = static_cast<std::uint32_t>(actors_.size());
-    if (engine_)
-        queue.push({config_.repair.tickInterval, engine_id});
-
-    // The health sampler is the last actor id on the spine: at a
-    // shared tick it observes *after* every device op, membership
-    // event and repair wakeup — one consistent cut per interval.
-    const std::uint32_t sampler_id = engine_id + 1;
-    if (sampler_)
-        queue.push({config_.health.interval, sampler_id});
-
-    while (!queue.empty()) {
-        const auto [at, id] = queue.top();
-        queue.pop();
-        if (id == sampler_id && sampler_) {
+    // The engine and the sampler wake periodically while any device
+    // still issues ops; repair copies contend with foreground quorum
+    // writes in the shard ingest queues. After the drains the engine
+    // converges in virtual time (queue drained, quarantined copies
+    // rebuilt, one clean scrub pass), and a final sample observes the
+    // healed state, which is what clears a raised repair_debt.
+    if (engine_) {
+        const Tick every = config_.repair.tickInterval;
+        add(every, {[this, &active, every](Tick at) {
+                        engine_->tick(at);
+                        return active > 0 ? at + every : 0;
+                    },
+                    [this](Tick end) {
+                        repairConvergedAt_ = engine_->drainAll(end);
+                        return repairConvergedAt_;
+                    }});
+    }
+    if (sampler_) {
+        const Tick every = config_.health.interval;
+        const auto sample = [this](Tick at) {
             sampler_->sample(at);
             monitor_->evaluate(at);
-            if (active > 0)
-                queue.push({at + config_.health.interval, sampler_id});
-            continue;
-        }
-        if (id == engine_id && engine_) {
-            engine_->tick(at);
-            if (active > 0)
-                queue.push({at + config_.repair.tickInterval,
-                            engine_id});
-            continue;
-        }
-        if (id >= bitrot_base && id < engine_id) {
-            const BitRotEvent &e = config_.bitRot[id - bitrot_base];
-            if (trace_ != nullptr) {
-                trace_->instant("fleet", "bit-rot", obs::kTrackFleet,
-                                0, at, {{"device", e.device}});
-            }
-            applyBitRot(e);
-            continue;
-        }
-        if (id >= membership_base) {
-            const MembershipEvent &e =
-                config_.membership[id - membership_base];
-            remote::ShardId shard = e.shard;
-            const char *name = "crash-shard";
-            switch (e.kind) {
-              case MembershipKind::CrashShard:
-                cluster_->crashShard(e.shard);
-                break;
-              case MembershipKind::JoinShard:
-                shard = cluster_->joinShard(at);
-                name = "join-shard";
-                break;
-              case MembershipKind::LeaveShard:
-                cluster_->leaveShard(e.shard, at);
-                name = "leave-shard";
-                break;
-            }
-            if (trace_ != nullptr) {
-                trace_->instant("fleet", name, obs::kTrackFleet, 0,
-                                at, {{"shard", shard}});
-            }
-            continue;
-        }
-        Actor &a = *actors_[id];
-        a.clock.advanceTo(at);
-        const Tick next = step(a);
-        if (next == 0)
-            active--;
-        else
-            queue.push({next, id});
+            return at;
+        };
+        add(every, {[&active, every, sample](Tick at) {
+                        sample(at);
+                        return active > 0 ? at + every : 0;
+                    },
+                    [this, sample](Tick end) {
+                        return sample(
+                            std::max(end, sampler_->lastSampleAt() + 1));
+                    }});
     }
 
-    // Ship every straggler segment (in device-id order — part of the
-    // determinism contract).
-    for (auto &actor : actors_)
-        actor->dev->drainOffload();
-
-    // With repair enabled the campaign does not end until the
-    // cluster converged: the queue drains, quarantined copies are
-    // rebuilt, and one full scrub pass comes back clean — all in
-    // virtual time, after the last device op.
-    if (engine_) {
-        Tick end = 0;
-        for (const auto &actor : actors_)
-            end = std::max(end, actor->clock.now());
-        repairConvergedAt_ = engine_->drainAll(end);
+    while (!queue.empty()) {
+        const auto [at, i] = queue.top();
+        queue.pop();
+        if (const Tick next = spine[i].wake(at); next != 0)
+            queue.push({next, i});
     }
-
-    // One final sample after the drains: the post-convergence state
-    // is what clears a raised repair_debt alert (the drain runs in
-    // virtual time with no sampler wakeups in between).
-    if (sampler_) {
-        Tick end = 0;
-        for (const auto &actor : actors_)
-            end = std::max(end, actor->clock.now());
-        Tick final_at = std::max(end, repairConvergedAt_);
-        if (final_at <= sampler_->lastSampleAt())
-            final_at = sampler_->lastSampleAt() + 1;
-        sampler_->sample(final_at);
-        monitor_->evaluate(final_at);
+    Tick end = 0;
+    for (SpineActor &actor : spine) {
+        if (actor.finish)
+            end = std::max(end, actor.finish(end));
     }
-
     return aggregate();
-}
-
-void
-FleetScheduler::applyBitRot(const BitRotEvent &event)
-{
-    // Deterministic target pick: the replicaIdx-th live replica-set
-    // member whose copy currently stores segments. A stream with no
-    // stored copy anywhere makes the fault a no-op.
-    std::vector<remote::ShardId> holders;
-    for (const remote::ShardId s :
-         cluster_->replicaSetOf(event.device)) {
-        if (cluster_->shardAlive(s) &&
-            cluster_->shardStore(s).hasStream(event.device) &&
-            !cluster_->shardStore(s)
-                 .streamSegments(event.device)
-                 .empty()) {
-            holders.push_back(s);
-        }
-    }
-    if (holders.empty())
-        return;
-    const remote::ShardId shard =
-        holders[event.replicaIdx % holders.size()];
-    remote::BackupStore &store = cluster_->mutableShardStore(shard);
-    const std::uint64_t count =
-        store.streamSegments(event.device).size();
-    const std::uint64_t k =
-        event.segmentIdx < count ? event.segmentIdx : count - 1;
-    store.injectBitRot(event.device, k, /*first_byte=*/7,
-                       /*byte_count=*/5);
 }
 
 forensics::GroundTruth

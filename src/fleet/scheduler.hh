@@ -6,13 +6,14 @@
  * Model. Each device is an *actor* with its own VirtualClock, RNG
  * stream, workload generator, Ethernet link and NVMe-oE transport;
  * the only shared state is the cluster at the far end of the wire.
- * The scheduler keeps a single event queue of (wakeup tick, device)
- * pairs ordered by time with device id as the tie-break, so the
- * interleaving — and therefore every byte of the FleetReport — is a
- * pure function of the fleet config and seed. Per-device RNG streams
- * are drawn from one master xoshiro sequence in device-id order,
- * which keeps device k's behavior identical no matter how many other
- * devices run beside it.
+ * One event queue, the *spine*, runs an ordered actor list: devices
+ * by id, the scripted faults, the repair engine, the health sampler.
+ * Ties at one tick break in that order, so the interleaving — and
+ * therefore every byte of the FleetReport — is a pure function of
+ * the fleet config and seed. Per-device RNG streams are drawn from
+ * one master xoshiro sequence in device-id order, which keeps device
+ * k's behavior identical no matter how many other devices run beside
+ * it.
  *
  * Each wakeup issues one host operation: an attack step when the
  * device's campaign role is active, one generated trace request
@@ -123,18 +124,20 @@ struct FleetConfig
     CampaignConfig campaign;
 
     /**
-     * Scripted membership changes (crash / join / leave), applied
-     * on the shared event spine at their tick — a membership event
-     * at tick T sorts after every device wakeup at T, so the
-     * interleaving stays a pure function of config and seed. A
-     * crash mid-campaign is the paper's evidence-loss scenario:
-     * with R >= 2 forensics and recovery read entirely from the
-     * surviving replicas.
+     * Scripted membership changes (crash / join / leave), applied on
+     * the event spine at their tick whatever the list order: at tick
+     * T after every device wakeup, before any bit-rot, in list order.
+     * A crash or leave must name an initial shard or a joiner's id
+     * (joiners count up from `shards`), else construction fails. A
+     * crash mid-campaign is the paper's evidence-loss scenario: with
+     * R >= 2 forensics and recovery read entirely from the surviving
+     * replicas.
      */
     std::vector<MembershipEvent> membership;
 
     /** Scripted bit-rot faults (see BitRotEvent); a no-op when the
-     *  targeted copy holds no segments yet. */
+     *  targeted copy holds no segments yet. A device id at or above
+     *  `devices` fails at construction. */
     std::vector<BitRotEvent> bitRot;
 
     /**
@@ -275,12 +278,9 @@ class FleetScheduler
   private:
     struct Actor;
 
-    /** One wakeup for @p actor: issue one op, return the next wakeup
-     *  tick, or 0 when the actor is finished. */
+    /** One wakeup for device @p actor: issue one op, return the next
+     *  wakeup tick, or 0 when the device is finished. */
     Tick step(Actor &actor);
-
-    /** Apply one scripted bit-rot fault (no-op on an empty copy). */
-    void applyBitRot(const BitRotEvent &event);
 
     FleetReport aggregate();
 
@@ -298,9 +298,6 @@ class FleetScheduler
     std::unique_ptr<forensics::EvidenceScanner> scanner_;
     std::vector<std::unique_ptr<Actor>> actors_;
     std::vector<DevicePlan> plans_;
-    /** Per-device (victim seed, attacker seed), drawn at attach time
-     *  but consumed only for devices the campaign infects. */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> actorSeeds_;
     obs::TraceSink *trace_ = nullptr;
     bool ran_ = false;
 };

@@ -63,6 +63,14 @@ fatal(const std::string &msg)
     detail::die("fatal", msg, false);
 }
 
+/** exit(1) with a message if @p cond holds (a configuration error). */
+inline void
+fatalIf(bool cond, const std::string &msg)
+{
+    if (cond) [[unlikely]]
+        fatal(msg);
+}
+
 /** Report a suspicious-but-survivable condition. */
 inline void
 warn(const std::string &msg)

@@ -180,6 +180,50 @@ TEST(FleetSim, DifferentSeedDifferentBytes)
     EXPECT_NE(a.run().toJson(), b.run().toJson());
 }
 
+TEST(FleetSim, ImpossibleConfigExitsThroughFatalAtConstruction)
+{
+    // A configuration error is the user's, not a simulator bug: it
+    // exits 1 through fatal() before any simulated time passes,
+    // instead of aborting (or aborting mid-run, for fault targets).
+    const auto fails = [](FleetConfig cfg, const char *message) {
+        EXPECT_EXIT(FleetScheduler sched(cfg),
+                    ::testing::ExitedWithCode(1), message);
+    };
+    FleetConfig cfg = smallFleet(Scenario::Outbreak, 7);
+    cfg.devices = 0;
+    fails(cfg, "fatal: FleetScheduler: zero devices");
+    cfg = smallFleet(Scenario::Outbreak, 7);
+    cfg.shards = 0;
+    fails(cfg, "fatal: FleetScheduler: zero shards");
+    cfg = smallFleet(Scenario::Outbreak, 7);
+    cfg.meanOpGap = 0;
+    fails(cfg, "fatal: FleetScheduler: meanOpGap == 0");
+    cfg = smallFleet(Scenario::Outbreak, 7);
+    cfg.replication = 0;
+    fails(cfg, "fatal: FleetScheduler: replication == 0");
+    cfg.replication = 3;
+    fails(cfg, "fatal: FleetScheduler: replication exceeds shards");
+
+    // Fault targets: a crash or leave may name an initial shard or a
+    // scripted joiner's id (2 here, once a join is listed), nothing
+    // past that; a bit-rot must name a device of the fleet.
+    cfg = smallFleet(Scenario::Outbreak, 7);
+    cfg.membership = {{60 * units::MS, MembershipKind::CrashShard, 2}};
+    fails(cfg, "fatal: FleetScheduler: membership event targets "
+               "unknown shard 2");
+    cfg.membership = {{60 * units::MS, MembershipKind::LeaveShard, 9}};
+    fails(cfg, "fatal: FleetScheduler: membership event targets "
+               "unknown shard 9");
+    cfg.membership = {{60 * units::MS, MembershipKind::CrashShard, 2},
+                      {50 * units::MS, MembershipKind::JoinShard, 0}};
+    FleetScheduler joiner_target(cfg);
+    EXPECT_EQ(joiner_target.cluster().shardCount(), 2u);
+    cfg.membership.clear();
+    cfg.bitRot = {{60 * units::MS, 6, 1, 2}};
+    fails(cfg, "fatal: FleetScheduler: bit-rot targets unknown "
+               "device 6");
+}
+
 TEST(FleetSim, GoldenReportDigest)
 {
     // The acceptance configuration: 16 devices -> 4 shards, outbreak,

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.hh"
 #include "fleet/scheduler.hh"
 
 #include "tests/common/json_checker.hh"
@@ -226,6 +227,25 @@ TEST(FleetHealth, CrashCampaignTelemetryIsDeterministic)
     FleetScheduler b(cfg);
     EXPECT_EQ(a.run().toJson(), b.run().toJson());
     EXPECT_EQ(a.healthTimeSeriesJsonl(), b.healthTimeSeriesJsonl());
+}
+
+TEST(FleetHealth, CrashCampaignGoldenDigests)
+{
+    // Pins the spine's tie-breaks at a shared tick: devices, then
+    // scripted faults, then the repair engine, then the sampler. With
+    // the sampler ahead of the engine, repair_debt is raised at
+    // 107 ms instead of 106 ms and both documents change.
+    FleetScheduler sched(crashCampaign());
+    const std::string report = sched.run().toJson();
+    const std::string &jsonl = sched.healthTimeSeriesJsonl();
+    EXPECT_EQ(crypto::toHex(
+                  crypto::Sha256::hash(report.data(), report.size())),
+              "16ffe0acb999b2f8c817eb8e8b5df27c6f248f4b2c0f21fa013"
+              "e0df0ae5c7dd7");
+    EXPECT_EQ(crypto::toHex(
+                  crypto::Sha256::hash(jsonl.data(), jsonl.size())),
+              "6f71c9c87c833c0194d9ff9e90ce877544b10736cbc72b077e9"
+              "7ae41708a27d6");
 }
 
 TEST(FleetHealth, DefaultRulesCoverTheFailureDomains)

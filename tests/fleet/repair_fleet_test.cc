@@ -148,6 +148,28 @@ TEST(FleetRepair, SameTickMembershipAppliesBeforeBitRot)
     EXPECT_EQ(scrubCorruptionsWithRotAt(100 * units::MS - 1), 0u);
 }
 
+TEST(FleetRepair, FaultsListedOutOfTimeOrderRunInTimeOrder)
+{
+    // The spine applies scripted faults by tick, whatever order the
+    // config lists them in: a join at 100 ms, rot at 105 ms and a
+    // crash at 110 ms give the same bytes listed either way.
+    FleetConfig listed = healingFleet();
+    listed.membership = {
+        {110 * units::MS, MembershipKind::CrashShard, 1},
+        {100 * units::MS, MembershipKind::JoinShard, 0}};
+    listed.bitRot = {{105 * units::MS, 2, 1, 2}};
+    FleetConfig sorted = listed;
+    std::swap(sorted.membership[0], sorted.membership[1]);
+
+    FleetScheduler a(listed);
+    FleetScheduler b(sorted);
+    const FleetReport rep = a.run();
+    EXPECT_EQ(rep.toJson(), b.run().toJson());
+    EXPECT_EQ(rep.shards, 5u);
+    EXPECT_EQ(rep.shardReports[1].status, "crashed");
+    EXPECT_EQ(rep.repairStats.scrubCorruptions, 1u);
+}
+
 TEST(FleetRepair, RepairDisabledLeavesTheDebt)
 {
     // Without the engine the same campaign ends degraded — the PR 6

@@ -1,11 +1,14 @@
 // rssd_lint fixture: chain-custody primitives referenced from a file
 // that is not on the C1 allowlist. Re-anchoring lives ONLY in
-// SegmentChainVerifier::resumeFrom and its blessed callers, and
-// skipping the MAC ONLY where a verified-prefix record vouches for it.
+// SegmentChainVerifier::resumeFrom and its blessed callers, skipping
+// the MAC ONLY where a verified-prefix record vouches for it, and
+// corrupting stored evidence ONLY in the store and the fleet's
+// scripted-fault actor.
 // Deliberately bad — never compiled.
 
 #include "log/chain_verify.hh"
 #include "log/segment.hh"
+#include "remote/backup_cluster.hh"
 
 namespace rssd::bad {
 
@@ -25,6 +28,14 @@ sneakyOpen(log::SegmentChainVerifier &v, const log::SealedSegment &s,
 {
     v.verifyNextAuthenticated(s, codec);                    // C1
     return codec.openVerified(s);                           // C1
+}
+
+void
+sneakyRot(remote::BackupCluster &cluster)
+{
+    remote::BackupStore &store = cluster.mutableShardStore(0); // C1
+    store.injectBitRot(0, 1, 7, 5);                         // C1
+    store.corruptStoredSegment(0, 1);                       // C1
 }
 
 } // namespace rssd::bad

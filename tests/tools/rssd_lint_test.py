@@ -130,22 +130,41 @@ class LintFixtureTest(unittest.TestCase):
                     "src/detect/bad_c1.cc"})
             proc, report = self.lint_json(tmp)
             self.assertEqual(proc.returncode, 1)
-            hits = self.assert_rule_fires(report, "C1", 4)
+            hits = self.assert_rule_fires(report, "C1", 7)
             msgs = " ".join(h["message"] for h in hits)
             self.assertIn("resumeFrom", msgs)
             self.assertIn("verifyPrune", msgs)
             self.assertIn("verifyNextAuthenticated", msgs)
             self.assertIn("openVerified", msgs)
+            self.assertIn("injectBitRot", msgs)
+            self.assertIn("corruptStoredSegment", msgs)
+            self.assertIn("mutableShardStore", msgs)
 
     def test_c1_quiet_on_allowlisted_file(self):
-        # The same references are fine from the owning layer.
-        with tempfile.TemporaryDirectory() as tmp:
-            sandbox_with(tmp, {
-                os.path.join(FIXTURES, "bad_c1.cc"):
-                    "src/log/chain_verify.cc"})
-            proc, report = self.lint_json(tmp)
-            self.assertEqual(proc.returncode, 0,
-                             report["findings"])
+        # Each reference is fine from its owning layer: the verifier
+        # owns the chain primitives, the fleet's fault actor reaches
+        # the store through mutableShardStore and may rot it; no
+        # other rule fires on either file.
+        fires = {
+            "src/log/chain_verify.cc": {
+                "injectBitRot", "corruptStoredSegment",
+                "mutableShardStore"},
+            "src/fleet/scheduler.cc": {
+                "resumeFrom", "verifyPrune", "verifyNextAuthenticated",
+                "openVerified", "corruptStoredSegment"},
+        }
+        for rel, symbols in fires.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                sandbox_with(tmp, {
+                    os.path.join(FIXTURES, "bad_c1.cc"): rel})
+                proc, report = self.lint_json(tmp)
+                self.assertEqual(
+                    {f["rule"] for f in report["findings"]}, {"C1"},
+                    report["findings"])
+                self.assertEqual(
+                    {f["message"].split("`")[1]
+                     for f in report["findings"]},
+                    symbols, (rel, report["findings"]))
 
     def test_p1_fires_in_hot_path(self):
         with tempfile.TemporaryDirectory() as tmp:

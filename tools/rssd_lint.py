@@ -20,10 +20,12 @@ those invariants as named, suppressible rules:
       bumping the constant fails, and any drift fails until
       --fix-manifests re-pins it
   C1  chain-custody locality: resumeFrom / sealPrune / verifyPrune /
-      adoptPruneRecord (the "ONE re-anchoring primitive" rule) and
-      the MAC-skipping openVerified / verifyNextAuthenticated (only
+      adoptPruneRecord (the "ONE re-anchoring primitive" rule), the
+      MAC-skipping openVerified / verifyNextAuthenticated (only
       where a BackupStore verified-prefix record vouches for the MAC)
-      are referenced only from allowlisted files
+      and the fault-injection mutators injectBitRot /
+      corruptStoredSegment / mutableShardStore are referenced only
+      from allowlisted files
   P1  panicIf(cond, <string-building expression>) in hot-path files:
       the message argument is evaluated unconditionally, so a
       concatenation or std::to_string heap-allocates on every call
@@ -145,6 +147,20 @@ C1_CUSTODY = {
     },
     "openVerified": C1_MAC_SKIP_FILES,
     "verifyNextAuthenticated": C1_MAC_SKIP_FILES,
+    # Fault injection that corrupts stored evidence: the store's own
+    # mutators, reached in product code only by the fleet's
+    # scripted-fault actor.
+    "injectBitRot": {
+        "src/remote/backup_store.hh", "src/remote/backup_store.cc",
+        "src/fleet/scheduler.cc",
+    },
+    "corruptStoredSegment": {
+        "src/remote/backup_store.hh", "src/remote/backup_store.cc",
+    },
+    "mutableShardStore": {
+        "src/remote/backup_cluster.hh", "src/remote/backup_cluster.cc",
+        "src/fleet/scheduler.cc",
+    },
 }
 
 # P1: hot-path prefixes where a panicIf message must not allocate.
