@@ -44,13 +44,17 @@ class ArgParser
         return false;
     }
 
-    /** Value of "--name value", or @p fallback when absent. */
+    /** Value of "--name value", or @p fallback when absent. A value
+     *  that is itself a flag ("--json --health-check") is fatal:
+     *  taking it would silently drop that flag. */
     std::string
     str(const std::string &name, const std::string &fallback)
     {
         for (std::size_t i = 0; i + 1 < args_.size(); i++) {
             if (args_[i] == name) {
                 const std::string v = args_[i + 1];
+                if (v.rfind("--", 0) == 0)
+                    fatal("flag " + name + ": missing value");
                 args_.erase(args_.begin() + i, args_.begin() + i + 2);
                 return v;
             }

@@ -1,8 +1,5 @@
 #include "core/history.hh"
 
-#include <algorithm>
-#include <deque>
-
 #include "sim/logging.hh"
 
 namespace rssd::core {
@@ -11,14 +8,6 @@ DeviceHistory::DeviceHistory(RssdDevice &device)
     : device_(device)
 {
     build(device.backupStore(), remote::kDefaultStream);
-}
-
-DeviceHistory::DeviceHistory(RssdDevice &device,
-                             const remote::BackupStore &store,
-                             remote::StreamId stream)
-    : device_(device)
-{
-    build(store, stream);
 }
 
 DeviceHistory::DeviceHistory(RssdDevice &device,
@@ -51,27 +40,24 @@ DeviceHistory::build(const remote::BackupStore &store,
     }
 
     // Fetch this device's sealed segments back over the
-    // server->device direction of the link, in chain order, then
-    // open locally. (In a shared shard store only the device's own
-    // stream is fetched — other tenants' evidence is neither needed
-    // nor decryptable with this device's key.) Segments inside the
-    // store's verified-prefix record were MAC'd under the same key
-    // (the store registered this device's codec); only the rest
-    // are MAC'd here.
-    const std::deque<std::uint32_t> &stored =
-        store.streamSegments(stream);
-    const std::uint64_t covered = store.verifiedPrefix(stream);
+    // server->device direction of the link, in chain order, through
+    // the store's one reader, which opens them with the codec the
+    // out-of-band key exchange registered for this device. (In a
+    // shared shard store only the device's own stream is fetched —
+    // other tenants' evidence is neither needed nor decryptable with
+    // this device's key.) A copy that does not verify is no history.
     Tick t = clock.now();
-    segments_.reserve(stored.size());
-    for (std::size_t i = 0; i < stored.size(); i++) {
-        const log::SealedSegment &sealed = store.sealedSegment(stored[i]);
-        t = device.link().rx().transmit(sealed.wireSize(), t);
-        cost_.segmentsFetched++;
-        cost_.bytesFetched += sealed.wireSize();
-        segments_.push_back(i < covered
-                                ? device.codec().openVerified(sealed)
-                                : device.codec().open(sealed));
-    }
+    segments_.reserve(store.streamSegments(stream).size());
+    const bool verified = store.readStream(
+        stream, 0,
+        [&](const log::SealedSegment &sealed, log::Segment &opened) {
+            t = device.link().rx().transmit(sealed.wireSize(), t);
+            cost_.segmentsFetched++;
+            cost_.bytesFetched += sealed.wireSize();
+            segments_.push_back(std::move(opened));
+        });
+    panicIf(!verified, "DeviceHistory: stored evidence chain does not "
+                       "verify");
     cost_.fetchCompleteAt = t;
     clock.advanceTo(t);
 
@@ -146,9 +132,9 @@ DeviceHistory::verifyEvidenceChain() const
 {
     // 1. Remote side: the store's chain walk of this device's stream
     //    (HMACs, segment ordering, per-entry chain; from the signed
-    //    re-anchor record on a pruned stream). It extends the
-    //    stream's verified-prefix record, so a copy the fleet audit
-    //    or replica selection already walked costs nothing here.
+    //    re-anchor record on a pruned stream). build() read the
+    //    stream through the store's verified-prefix record, so an
+    //    unchanged copy costs nothing here.
     if (!store_->verifyStreamChain(stream_))
         return false;
     const log::PruneRecord *prune = store_->pruneRecordOf(stream_);

@@ -54,27 +54,21 @@ class DeviceHistory
   public:
     /**
      * Build the merged history at the current simulated time.
-     * Fetches (and keeps open) every remote segment. Single-device
-     * mode: the device owns its in-process BackupStore.
+     * Fetches (and keeps open) every remote segment, read through
+     * BackupStore::readStream() and panic()ing when the stored chain
+     * does not verify. Single-device mode: the device owns its
+     * in-process BackupStore.
      */
     explicit DeviceHistory(RssdDevice &device);
 
     /**
-     * Fleet mode: the device's stream lives in a shared (cluster
-     * shard) store. Fetches the segments of @p stream from @p store
-     * over the device's link; the rest of the merge is identical.
-     * This is what lets RecoveryEngine restore a fleet device from
-     * its shard after a campaign.
-     */
-    DeviceHistory(RssdDevice &device, const remote::BackupStore &store,
-                  remote::StreamId stream);
-
-    /**
-     * Replicated fleet mode: the read source is chosen among the
-     * device's live replicas — the first chain-verifying copy wins
-     * (read-side voting), so after a shard crash the history builds
-     * entirely from a surviving replica. panic()s when the whole
-     * replica set is dead.
+     * Fleet mode: the device's stream lives in shared (cluster
+     * shard) stores. The read source is chosen among the device's
+     * live replicas — the first chain-verifying copy wins (read-side
+     * voting), so after a shard crash the history builds entirely
+     * from a surviving replica; the rest of the merge is identical.
+     * This is what lets RecoveryEngine restore a fleet device after
+     * a campaign. panic()s when the whole replica set is dead.
      */
     DeviceHistory(RssdDevice &device,
                   const remote::BackupCluster &cluster,

@@ -1,7 +1,6 @@
 #include "forensics/evidence.hh"
 
 #include <algorithm>
-#include <deque>
 
 #include "sim/logging.hh"
 
@@ -15,14 +14,13 @@ EvidenceScanner::EvidenceScanner(const remote::BackupCluster &cluster)
 void
 EvidenceScanner::failOver(StreamState &st, remote::ShardId replica)
 {
-    // The cursor, verifier and entry cache are per-copy state:
-    // verification restarts from the new copy's genesis (or its
-    // prune horizon), and the re-verified suffix is honestly
-    // counted in the next pass's cost.
+    // The cursor and entry cache are per-copy state: reading
+    // restarts from the new copy's genesis (or its prune horizon),
+    // and the re-read suffix is honestly counted in the next pass's
+    // cost.
     if (st.source != remote::kNoShard)
         st.evidence.failovers++;
     st.source = replica;
-    st.verifier = log::SegmentChainVerifier();
     st.absPos = 0;
     st.evidence.segmentsVerified = 0;
     st.evidence.bytesVerified = 0;
@@ -83,8 +81,6 @@ EvidenceScanner::scan()
         const remote::BackupStore &store =
             cluster_.shardStore(st.source);
 
-        const std::deque<std::uint32_t> &stored =
-            store.streamSegments(device);
         const std::uint64_t pruned = store.prunedSegments(device);
         const log::PruneRecord *rec = store.pruneRecordOf(device);
         st.evidence.segmentsPruned = pruned;
@@ -109,59 +105,35 @@ EvidenceScanner::scan()
         if (!st.evidence.intact)
             continue; // untrusted suffix: never extend past a fault
 
-        const log::SegmentCodec &codec = store.streamCodec(device);
-
         // Retention GC overtook the cursor (or the stream was
-        // already pruned at first contact): resume from the
-        // signed prune record. Segments expired before we ever
-        // verified them are evidence lost to the analysis —
+        // already pruned at first contact): the store's walk resumes
+        // from the signed prune record. Segments expired before we
+        // ever read them are evidence lost to the analysis —
         // counted, never silently skipped.
         if (st.absPos < pruned) {
-            if (rec == nullptr ||
-                !st.verifier.resumeFrom(*rec, codec)) {
-                st.evidence.intact = false;
-                st.evidence.fault =
-                    log::ChainFault::BadAuthentication;
-                continue;
-            }
             st.evidence.segmentsPrunedUnseen += pruned - st.absPos;
             st.evidence.reanchors++;
             st.absPos = pruned;
         }
 
-        // Inside the store's verified-prefix record the MAC already
-        // passed on these exact bytes; this copy's own verifier
-        // still decrypts and re-derives the order, anchor and entry
-        // chain of every segment.
-        const std::uint64_t covered = store.verifiedPrefix(device);
-        const std::uint64_t before = st.verifier.bytesVerified();
-        const std::uint64_t entries_before =
-            st.verifier.entriesVerified();
-        while (st.absPos - pruned < stored.size()) {
-            const std::uint64_t pos = st.absPos - pruned;
-            const log::SealedSegment &sealed =
-                store.sealedSegment(stored[pos]);
-            log::Segment opened;
-            const bool ok =
-                pos < covered
-                    ? st.verifier.verifyNextAuthenticated(sealed, codec,
-                                                          &opened)
-                    : st.verifier.verifyNext(sealed, codec, &opened);
-            if (!ok) {
-                st.evidence.intact = false;
-                st.evidence.fault = st.verifier.fault();
-                break;
-            }
-            st.absPos++;
-            st.evidence.segmentsVerified++;
-            pass.segmentsVerified++;
-            for (log::LogEntry &e : opened.entries)
-                st.evidence.entries.push_back(std::move(e));
+        // The store's one reader hands over each segment past the
+        // cursor, verified against the copy's chain from its anchor.
+        const bool ok = store.readStream(
+            device, st.absPos - pruned,
+            [&](const log::SealedSegment &sealed, log::Segment &opened) {
+                st.absPos++;
+                st.evidence.segmentsVerified++;
+                st.evidence.bytesVerified += sealed.wireSize();
+                pass.segmentsVerified++;
+                pass.bytesVerified += sealed.wireSize();
+                pass.entriesReplayed += opened.entries.size();
+                for (log::LogEntry &e : opened.entries)
+                    st.evidence.entries.push_back(std::move(e));
+            });
+        if (!ok) {
+            st.evidence.intact = false;
+            st.evidence.fault = store.chainFault(device);
         }
-        st.evidence.bytesVerified = st.verifier.bytesVerified();
-        pass.bytesVerified += st.verifier.bytesVerified() - before;
-        pass.entriesReplayed +=
-            st.verifier.entriesVerified() - entries_before;
     }
 
     passes_++;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Evidence ingestion for cluster-side forensics: stream every
- * device's segment chain out of the BackupCluster's shards,
- * verifying hash chain + HMACs incrementally.
+ * device's segment chain out of the BackupCluster's shards through
+ * BackupStore::readStream(), the store's one reader of stored
+ * evidence, which verifies hash chain + HMACs incrementally.
  *
  * The scanner runs where the evidence lives (the analysis host is
  * co-located with the shards), so nothing crosses a wire here — the
@@ -10,12 +11,12 @@
  * ScanPassCost counters account for per pass.
  *
  * Incrementality is the design center: each stream keeps a resumable
- * cursor (position in the shard's storage-index list) plus the
- * SegmentChainVerifier state needed to extend the chain, and the
- * replayed entries of the verified prefix are cached. A re-scan
- * after new segments arrive verifies only the new suffix — O(new),
- * not O(all) — and the per-pass cost counters in the ForensicsReport
- * pin that claim in tests.
+ * cursor (position in the stream's chain), and the replayed entries
+ * of the verified prefix are cached. The chain state that extends
+ * the verification lives in the source store's verified-prefix
+ * record, not here. A re-scan after new segments arrive reads only
+ * the new suffix — O(new), not O(all) — and the per-pass cost
+ * counters in the ForensicsReport pin that claim in tests.
  */
 
 #ifndef RSSD_FORENSICS_EVIDENCE_HH
@@ -152,12 +153,11 @@ class EvidenceScanner
     struct StreamState
     {
         StreamEvidence evidence;
-        log::SegmentChainVerifier verifier;
-        /** Absolute position of the next segment to verify, counted
+        /** Absolute position of the next segment to read, counted
          *  from the stream's genesis (pruned + verified). Stable
          *  across prunes, unlike indices into the shrinking stored
-         *  list. Per-copy state, like the verifier and the entry
-         *  cache: a failover resets all three. */
+         *  list. Per-copy state, like the entry cache: a failover
+         *  resets both. */
         std::uint64_t absPos = 0;
         /** Source replica (kNoShard until the first pass). */
         remote::ShardId source = remote::kNoShard;

@@ -35,25 +35,18 @@ SegmentChainVerifier::verifyNext(const SealedSegment &sealed,
                                  const SegmentCodec &codec,
                                  Segment *opened_out)
 {
+    fault_ = ChainFault::None;
+
     if (!codec.verify(sealed)) {
         fault_ = ChainFault::BadAuthentication;
         return false;
     }
-    return verifyNextAuthenticated(sealed, codec, opened_out);
-}
-
-bool
-SegmentChainVerifier::verifyNextAuthenticated(
-    const SealedSegment &sealed, const SegmentCodec &codec,
-    Segment *opened_out)
-{
-    fault_ = ChainFault::None;
-
     if (sealed.prevId != expectPrev_) {
         fault_ = ChainFault::BrokenOrder;
         return false;
     }
 
+    // The MAC just passed on these bytes: open without a second one.
     Segment seg = codec.openVerified(sealed);
     if (haveTail_ && seg.chainAnchor != tail_) {
         fault_ = ChainFault::BrokenAnchor;

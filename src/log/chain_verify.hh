@@ -21,13 +21,11 @@
  * verifier alive pays only for new segments when more evidence
  * arrives — the O(new) re-analysis property the cluster-side
  * forensics subsystem is built on. BackupStore keeps one such state
- * per stream as its verified-prefix record, which verifyStreamChain()
- * (and so the fleet audit, replica selection, repair and
- * DeviceHistory) extends instead of walking from genesis. The
- * forensics evidence scanner keeps its own per-copy verifier and,
- * inside the store's record, enters through
- * verifyNextAuthenticated(), which skips only the MAC. There is no
- * second copy of the chain rules to drift.
+ * per stored stream as its verified-prefix record; its one reader,
+ * BackupStore::readStream(), extends that record, and every chain
+ * walk, the forensics scanner and DeviceHistory read through it.
+ * There is no second verifier and no second copy of the chain rules
+ * to drift.
  */
 
 #ifndef RSSD_LOG_CHAIN_VERIFY_HH
@@ -65,27 +63,14 @@ class SegmentChainVerifier
                     Segment *opened_out = nullptr);
 
     /**
-     * verifyNext() minus the HMAC/CRC check, for a segment whose MAC
-     * already passed on these exact bytes: a BackupStore
-     * verified-prefix record covers it. Order, anchor and per-entry
-     * chain are still checked and the counters advance as in
-     * verifyNext(). A custody primitive (rssd_lint C1): only the
-     * files that consult the record may call it.
-     */
-    bool verifyNextAuthenticated(const SealedSegment &sealed,
-                                 const SegmentCodec &codec,
-                                 Segment *opened_out = nullptr);
-
-    /**
      * Re-anchor the verifier at a retention-GC prune horizon: after
      * this, the next segment must name @p record's last pruned
      * segment as its predecessor and extend the pruned chain's tail
      * digest. The record's signature is checked first (it is the
      * trusted substitute for the pruned prefix); a bad signature
      * sets fault() = BadAuthentication and leaves the verifier
-     * unchanged. Valid both at the start of a stream (fresh
-     * verifier over an already-pruned stream) and mid-stream (the
-     * horizon advanced past an incremental scanner's cursor).
+     * unchanged. BackupStore calls it on a fresh verifier over an
+     * already-pruned stream.
      */
     bool resumeFrom(const PruneRecord &record,
                     const SegmentCodec &codec);

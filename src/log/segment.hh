@@ -154,19 +154,19 @@ class SegmentCodec
     /**
      * Verify authenticity and decrypt: verify() plus openVerified().
      * panic()s on HMAC/CRC mismatch in trusted-path code; use
-     * verify() first for adversarial inputs. A reader whose copy a
-     * BackupStore verified-prefix record covers already knows the
-     * MAC holds and calls openVerified() instead.
+     * verify() first for adversarial inputs. Stored evidence is read
+     * through BackupStore::readStream(), which decides where the MAC
+     * may be skipped.
      */
     Segment open(const SealedSegment &sealed) const;
 
     /**
      * Decrypt, LZ-decode and deserialize *without* checking the
      * HMAC or CRC. Only for bytes whose verify() already passed and
-     * that nothing has mutated since — the chain verifier right
-     * after its own MAC, or a reader inside a BackupStore
-     * verified-prefix record. A custody primitive: rssd_lint C1
-     * confines it to the files that consult that record.
+     * that nothing has mutated since: the chain verifier right after
+     * its own MAC, and BackupStore inside a stream's verified-prefix
+     * record. A custody primitive: rssd_lint C1 confines it to the
+     * codec, the verifier and the store.
      */
     Segment openVerified(const SealedSegment &sealed) const;
 

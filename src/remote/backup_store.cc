@@ -1,5 +1,8 @@
 #include "remote/backup_store.hh"
 
+#include <algorithm>
+#include <set>
+
 #include "sim/logging.hh"
 
 namespace rssd::remote {
@@ -147,7 +150,7 @@ BackupStore::ingestSegment(StreamId stream,
     return true;
 }
 
-void
+bool
 BackupStore::pruneOldest(StreamId stream, StreamState &st, Tick now,
                          bool pressure)
 {
@@ -159,10 +162,13 @@ BackupStore::pruneOldest(StreamId stream, StreamState &st, Tick now,
     // The store-side GC work: open the segment to account the log
     // entries expiring with it (the prune record advertises the
     // first surviving logSeq to analysis and recovery). Inside the
-    // verified prefix its MAC already passed on these bytes.
+    // verified prefix its MAC already passed on these bytes; outside
+    // it, rotten bytes leave the stream unpruned for the scrub to
+    // find.
     const bool covered = st.verifiedCount > 0;
-    const log::Segment opened = covered ? st.codec.openVerified(sealed)
-                                        : st.codec.open(sealed);
+    if (!covered && !st.codec.verify(sealed))
+        return false;
+    const log::Segment opened = st.codec.openVerified(sealed);
 
     log::PruneRecord rec =
         st.prune.value_or(log::PruneRecord{});
@@ -207,6 +213,7 @@ BackupStore::pruneOldest(StreamId stream, StreamState &st, Tick now,
                          {"segment", rec.upToId},
                          {"pressure", pressure ? 1u : 0u}});
     }
+    return true;
 }
 
 void
@@ -220,7 +227,8 @@ BackupStore::expireByAge(Tick now)
             continue; // suspicion hold: evidence outlives the window
         while (!st.stored.empty() &&
                segmentArrival_[st.stored.front()] + window <= now) {
-            pruneOldest(stream, st, now, /*pressure=*/false);
+            if (!pruneOldest(stream, st, now, /*pressure=*/false))
+                break; // rotten front: left for the scrub to find
         }
     }
 }
@@ -233,6 +241,9 @@ BackupStore::evictUnderPressure(Tick now,
         config_.retention.gcLowWater *
         static_cast<double>(config_.capacityBytes));
     const std::uint64_t quota = streamQuotaBytes();
+    // Streams whose oldest segment failed its MAC: passed over for
+    // the rest of this call, so the loop still ends.
+    std::set<StreamId> rotten;
 
     while (used_ + incoming_bytes > low) {
         StreamState *victim = nullptr;
@@ -243,8 +254,10 @@ BackupStore::evictUnderPressure(Tick now,
         //    from consuming its neighbours' retention windows.
         std::uint64_t best_over = 0;
         for (auto &[stream, st] : streams_) {
-            if (st.stored.empty() || st.liveBytes <= quota)
+            if (st.stored.empty() || st.liveBytes <= quota ||
+                rotten.count(stream) != 0) {
                 continue;
+            }
             const std::uint64_t over = st.liveBytes - quota;
             if (over > best_over) {
                 best_over = over;
@@ -257,8 +270,10 @@ BackupStore::evictUnderPressure(Tick now,
         if (victim == nullptr) {
             Tick oldest = ~0ull;
             for (auto &[stream, st] : streams_) {
-                if (st.evictionHold || st.stored.empty())
+                if (st.evictionHold || st.stored.empty() ||
+                    rotten.count(stream) != 0) {
                     continue;
+                }
                 const Tick at = segmentArrival_[st.stored.front()];
                 if (at < oldest) {
                     oldest = at;
@@ -270,7 +285,8 @@ BackupStore::evictUnderPressure(Tick now,
 
         if (victim == nullptr)
             break; // all held and within quota: genuinely full
-        pruneOldest(victim_id, *victim, now, /*pressure=*/true);
+        if (!pruneOldest(victim_id, *victim, now, /*pressure=*/true))
+            rotten.insert(victim_id);
     }
 }
 
@@ -411,32 +427,61 @@ BackupStore::streamCodec(StreamId stream) const
 }
 
 bool
-BackupStore::verifyStreamChain(StreamId stream) const
+BackupStore::readStream(StreamId stream, std::uint64_t from,
+                        const SegmentVisitor &visit) const
 {
     auto it = streams_.find(stream);
     panicIf(it == streams_.end(), "BackupStore: unknown stream");
     const StreamState &st = it->second;
+    st.fault = log::ChainFault::None;
 
     if (!st.verified) {
         log::SegmentChainVerifier fresh;
         // A pruned stream verifies from its signed re-anchor record
         // instead of genesis; the record substitutes for the
         // expired prefix.
-        if (st.prune && !fresh.resumeFrom(*st.prune, st.codec))
-            return false;
-        st.verified = fresh;
-    }
-    // Extend the verified prefix; a failure leaves it at the last
-    // good segment, so the next walk reports the same fault.
-    while (st.verifiedCount < st.stored.size()) {
-        stats_.segmentsChainWalked++;
-        if (!st.verified->verifyNext(
-                segments_[st.stored[st.verifiedCount]], st.codec)) {
+        if (st.prune && !fresh.resumeFrom(*st.prune, st.codec)) {
+            st.fault = fresh.fault();
             return false;
         }
-        st.verifiedCount++;
+        st.verified = fresh;
+    }
+    // Inside the record only decrypt, and only for a visitor. Past
+    // it, extend the record; a failure leaves it at the last good
+    // segment, so the next read reports the same fault.
+    std::uint64_t pos =
+        visit ? std::min(from, st.verifiedCount) : st.verifiedCount;
+    for (; pos < st.stored.size(); pos++) {
+        const log::SealedSegment &sealed = segments_[st.stored[pos]];
+        log::Segment opened;
+        if (pos < st.verifiedCount) {
+            opened = st.codec.openVerified(sealed);
+        } else {
+            stats_.segmentsChainWalked++;
+            if (!st.verified->verifyNext(sealed, st.codec, &opened)) {
+                st.fault = st.verified->fault();
+                return false;
+            }
+            st.verifiedCount++;
+        }
+        if (visit && pos >= from)
+            visit(sealed, opened);
     }
     return true;
+}
+
+bool
+BackupStore::verifyStreamChain(StreamId stream) const
+{
+    return readStream(stream, 0, nullptr);
+}
+
+log::ChainFault
+BackupStore::chainFault(StreamId stream) const
+{
+    auto it = streams_.find(stream);
+    panicIf(it == streams_.end(), "BackupStore: unknown stream");
+    return it->second.fault;
 }
 
 std::uint64_t
@@ -505,21 +550,6 @@ BackupStore::streamTail(StreamId stream) const
     t.chainTail = it->second.chainTail;
     t.haveTail = it->second.haveTail;
     return t;
-}
-
-void
-BackupStore::corruptStoredSegment(StreamId stream, std::uint64_t k)
-{
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    StreamState &st = it->second;
-    panicIf(k >= st.stored.size(),
-            "BackupStore: corruption index past stream");
-    log::SealedSegment &sealed = segments_[st.stored[k]];
-    panicIf(sealed.payload.empty(),
-            "BackupStore: corrupting an empty payload");
-    sealed.payload[sealed.payload.size() / 2] ^= 0x40;
-    st.forgetVerified();
 }
 
 void

@@ -33,10 +33,12 @@
  *
  * Verify once: each stream keeps a verified-prefix record, the
  * SegmentChainVerifier state after its first k stored segments.
- * Every chain walk (verifyStreamChain(), and so the fleet audit and
- * replica selection) extends it from k, and readers inside it skip
- * the MAC. Paths that change stored bytes or the anchor shrink or
- * reset it, so its verdicts equal a walk from scratch.
+ * readStream() is the one reader of stored evidence: inside the
+ * record it only decrypts, past it it extends the record. Every
+ * chain walk (verifyStreamChain(), and so the fleet audit and
+ * replica selection), the forensics scanner and DeviceHistory read
+ * through it. Paths that change stored bytes or the anchor shrink or
+ * reset the record, so its verdicts equal a walk from scratch.
  */
 
 #ifndef RSSD_REMOTE_BACKUP_STORE_HH
@@ -44,6 +46,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -146,10 +149,10 @@ struct BackupStoreStats
     std::uint64_t pressurePrunes = 0;///< segments evicted by watermark
 
     // -- Chain walks ----------------------------------------------------
-    /** Segments verifyStreamChain() actually verified (MAC, decrypt,
-     *  chain rules). Segments its verified-prefix record already
-     *  covered are not counted, so a re-walk of an unchanged store
-     *  adds 0. Host-work accounting only; no report emits it. */
+    /** Segments readStream() actually verified (MAC, decrypt, chain
+     *  rules). Segments its verified-prefix record already covered
+     *  are not counted, so a re-walk of an unchanged store adds 0.
+     *  Host-work accounting only; no report emits it. */
     std::uint64_t segmentsChainWalked = 0;
 };
 
@@ -255,36 +258,51 @@ class BackupStore : public net::CapsuleTarget
     };
     StreamTail streamTail(StreamId stream) const;
 
+    /** One stored segment as readStream() hands it over: the sealed
+     *  bytes and their opened contents (the visitor may move from
+     *  the latter). */
+    using SegmentVisitor =
+        std::function<void(const log::SealedSegment &sealed,
+                           log::Segment &opened)>;
+
     /**
-     * verifyFullChain() for a single stream. Extends the stream's
-     * verified-prefix record: only segments past it are verified,
-     * so a second walk of an unchanged stream does no work. The
-     * verdict equals that of a walk from the stream's anchor
-     * (genesis or its prune record); a failing walk leaves the
-     * record at the last good segment, so the next walk fails the
-     * same way.
+     * The one reader of stored evidence. Hands @p visit every stored
+     * segment of @p stream from position @p from of
+     * streamSegments(@p stream) on, in chain order. Inside the
+     * verified-prefix record it only decrypts; past it, it extends
+     * the record (HMAC, CRC, order, anchor, entry chain) and hands
+     * over the segment that walk opened, so nothing is decoded
+     * twice. Positions before @p from that the record does not yet
+     * cover are walked but not visited. The verdict equals that of a
+     * walk from the stream's anchor (genesis or its signed prune
+     * record). Stops at the first failure and returns false, leaving
+     * the record at the last good segment, so the next read fails
+     * the same way; chainFault() says why.
+     */
+    bool readStream(StreamId stream, std::uint64_t from,
+                    const SegmentVisitor &visit) const;
+
+    /**
+     * readStream() with no visitor: extends the verified-prefix
+     * record over the whole stream, so a second walk of an unchanged
+     * stream does no work. The per-stream half of verifyFullChain().
      */
     bool verifyStreamChain(StreamId stream) const;
+
+    /** Why the last readStream() of @p stream failed: a segment's
+     *  fault, or BadAuthentication for a prune record whose signature
+     *  does not verify. None after a read that succeeded. */
+    log::ChainFault chainFault(StreamId stream) const;
 
     /**
      * Leading segments of streamSegments(@p stream) that the
      * verified-prefix record covers: a chain walk from the stream's
      * anchor verified them (HMAC, CRC, order, anchor, entry chain)
-     * and nothing has changed their bytes or the anchor since. A
-     * reader of the same codec may skip the MAC on these
-     * (SegmentCodec::openVerified()); the integrity scrub, which
-     * hunts rot no API call announced, does not consult it.
+     * and nothing has changed their bytes or the anchor since.
+     * readStream() skips their MAC; the integrity scrub, which hunts
+     * rot no API call announced, does not consult the record.
      */
     std::uint64_t verifiedPrefix(StreamId stream) const;
-
-    /**
-     * Fault injection (tests only): flip one byte in the @p k-th
-     * live stored segment of @p stream, simulating silent replica
-     * corruption. The chain metadata is untouched, so only payload
-     * verification catches it — exactly the fault voting reads
-     * around. Flipping the same segment again restores it.
-     */
-    void corruptStoredSegment(StreamId stream, std::uint64_t k);
 
     /**
      * Bit-rot fault (tests / fault harness): flip @p byte_count
@@ -352,8 +370,6 @@ class BackupStore : public net::CapsuleTarget
 
     /** Open (decrypt + decompress) a stored segment. */
     log::Segment openSegment(std::uint64_t idx) const;
-
-    std::size_t streamCount() const { return streams_.size(); }
 
     /** All registered stream ids, ascending (deterministic). */
     std::vector<StreamId> streamIds() const;
@@ -426,6 +442,8 @@ class BackupStore : public net::CapsuleTarget
          *  stored bytes or to the anchor resets it. */
         mutable std::optional<log::SegmentChainVerifier> verified;
         mutable std::uint64_t verifiedCount = 0;
+        /** Verdict of the last readStream() (chainFault()). */
+        mutable log::ChainFault fault = log::ChainFault::None;
 
         void
         forgetVerified()
@@ -440,8 +458,11 @@ class BackupStore : public net::CapsuleTarget
     bool reject(RejectReason why);
 
     /** Tombstone the oldest stored segment of @p st, re-signing the
-     *  stream's prune record. @p pressure selects the stats bucket. */
-    void pruneOldest(StreamId stream, StreamState &st, Tick now,
+     *  stream's prune record. @p pressure selects the stats bucket.
+     *  Returns false, changing nothing, when that segment fails its
+     *  MAC: the store never signs a prune record for bytes it cannot
+     *  authenticate (the scrub quarantines the copy instead). */
+    bool pruneOldest(StreamId stream, StreamState &st, Tick now,
                      bool pressure);
 
     /** Age-based expiry over all unheld streams. */

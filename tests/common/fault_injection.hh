@@ -5,14 +5,15 @@
  *
  * Faults are (tick, fault) pairs applied in schedule order when the
  * test's virtual time passes them: a fail-stop shard kill, an
- * injected slow-replica service delay, a single-byte corruption of
- * one stored segment (the fault read-side voting and chain-verifying
- * source selection must survive), or silent bit-rot over a payload
- * byte range with the tail metadata untouched (the fault only an
- * integrity scrub catches). The injector is deliberately dumb —
- * it owns no clock; the test drives advanceTo() from whatever time
- * base it already has (device clocks, the fleet event spine, or a
- * bare counter), which keeps every run deterministic.
+ * injected slow-replica service delay, or silent bit-rot over a
+ * payload byte range of one stored segment with the tail metadata
+ * untouched (the fault read-side voting, chain-verifying source
+ * selection and the integrity scrub must survive or catch). Rot goes
+ * through BackupStore::injectBitRot, the store's one fault injector.
+ * The injector is deliberately dumb — it owns no clock; the test
+ * drives advanceTo() from whatever time base it already has (device
+ * clocks, the fleet event spine, or a bare counter), which keeps
+ * every run deterministic.
  */
 
 #ifndef RSSD_TESTS_COMMON_FAULT_INJECTION_HH
@@ -28,10 +29,9 @@ namespace rssd::test {
 struct ScriptedFault
 {
     enum class Kind : std::uint8_t {
-        KillShard,      ///< fail-stop crash (no migration)
-        DelayShard,     ///< add per-segment service latency
-        CorruptSegment, ///< flip one payload byte in a stored segment
-        BitRot,         ///< flip a payload byte range, tail untouched
+        KillShard,  ///< fail-stop crash (no migration)
+        DelayShard, ///< add per-segment service latency
+        BitRot,     ///< flip a payload byte range, tail untouched
     };
 
     Tick at = 0;
@@ -41,8 +41,8 @@ struct ScriptedFault
     /** DelayShard: extra per-segment service time. */
     Tick delay = 0;
 
-    /** CorruptSegment / BitRot: which stream and which of its live
-     *  segments (0-based, stream order). */
+    /** BitRot: which stream and which of its live segments
+     *  (0-based, stream order). */
     remote::DeviceId stream = 0;
     std::uint64_t segmentIdx = 0;
 
@@ -99,10 +99,6 @@ class FaultInjector
             break;
           case ScriptedFault::Kind::DelayShard:
             cluster_.setShardDelay(f.shard, f.delay);
-            break;
-          case ScriptedFault::Kind::CorruptSegment:
-            cluster_.mutableShardStore(f.shard).corruptStoredSegment(
-                f.stream, f.segmentIdx);
             break;
           case ScriptedFault::Kind::BitRot:
             cluster_.mutableShardStore(f.shard).injectBitRot(

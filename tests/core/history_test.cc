@@ -113,6 +113,35 @@ TEST_F(HistoryTest, CostAccountsFetchTraffic)
     EXPECT_GT(clock_.now(), before); // fetch consumed link time
 }
 
+TEST_F(HistoryTest, BuildWarmsTheStoreRecord)
+{
+    // The history reads the store through its one reader, which
+    // extends the stream's verified-prefix record as it goes: the
+    // evidence-chain check afterwards walks nothing again.
+    for (int i = 0; i < 64; i++)
+        dev_.writePage(i % 4, page(1));
+    dev_.drainOffload();
+    const remote::BackupStore &store = dev_.backupStore();
+    const std::size_t stored =
+        store.streamSegments(remote::kDefaultStream).size();
+    ASSERT_GT(stored, 0u);
+
+    DeviceHistory history(dev_);
+    EXPECT_EQ(store.verifiedPrefix(remote::kDefaultStream), stored);
+    const std::uint64_t walked = store.stats().segmentsChainWalked;
+    EXPECT_TRUE(history.verifyEvidenceChain());
+    EXPECT_EQ(store.stats().segmentsChainWalked, walked);
+}
+
+TEST_F(HistoryTest, RottenStoredCopyIsNoHistory)
+{
+    for (int i = 0; i < 64; i++)
+        dev_.writePage(i % 4, page(1));
+    dev_.drainOffload();
+    dev_.backupStore().injectBitRot(remote::kDefaultStream, 1, 0, 1);
+    EXPECT_DEATH(DeviceHistory{dev_}, "does not verify");
+}
+
 TEST_F(HistoryTest, RangeRecoveryLeavesOutOfScopeAlone)
 {
     attack::VictimDataset docs(0, 32);

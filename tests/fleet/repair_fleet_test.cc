@@ -170,6 +170,45 @@ TEST(FleetRepair, FaultsListedOutOfTimeOrderRunInTimeOrder)
     EXPECT_EQ(rep.repairStats.scrubCorruptions, 1u);
 }
 
+TEST(FleetRepair, RetentionGcLeavesRotForTheScrubToHeal)
+{
+    // Retention GC on every replica, rot on one copy of device 0's
+    // stream: the GC reaches the rotten segment before the scrub
+    // does. A prune opens what it expires, so it must pass over
+    // bytes that do not authenticate (no abort, no prune record
+    // signed over them) and leave the copy for the scrub to
+    // quarantine and the repair to rebuild. Both GC triggers: age
+    // expiry and capacity pressure. Pressure first reaches the rotten
+    // segment after 200 ms, so that run scrubs every 250 ms.
+    const auto run = [](std::uint64_t capacity, Tick window,
+                        Tick scrub) {
+        FleetConfig cfg;
+        cfg.devices = 4;
+        cfg.shards = 3;
+        cfg.replication = 3;
+        cfg.seed = 7;
+        cfg.campaign.scenario = Scenario::Benign;
+        if (capacity > 0)
+            cfg.cluster.shard.capacityBytes = capacity;
+        cfg.cluster.shard.retention.gcEnabled = true;
+        cfg.cluster.shard.retention.retentionWindow = window;
+        cfg.bitRot.push_back({100 * units::MS, 0, 1, 2});
+        cfg.repair.enabled = true;
+        cfg.repair.scrubInterval = scrub;
+        FleetScheduler sched(cfg);
+        return sched.run();
+    };
+    for (const FleetReport &rep :
+         {run(0, 50 * units::MS, 200 * units::MS),
+          run(1 * units::MiB, 0, 250 * units::MS)}) {
+        EXPECT_GT(rep.totalSegmentsPruned, 0u);
+        EXPECT_TRUE(rep.allChainsOk);
+        EXPECT_EQ(rep.repairStats.scrubCorruptions, 1u);
+        EXPECT_EQ(rep.degradedAtEnd, 0u);
+        EXPECT_EQ(rep.quarantinedAtEnd, 0u);
+    }
+}
+
 TEST(FleetRepair, RepairDisabledLeavesTheDebt)
 {
     // Without the engine the same campaign ends degraded — the PR 6

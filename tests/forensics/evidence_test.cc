@@ -93,40 +93,6 @@ TEST(SegmentChainVerifier, RejectsSplicedStream)
     EXPECT_EQ(v.fault(), log::ChainFault::BrokenAnchor);
 }
 
-TEST(SegmentChainVerifier, AuthenticatedEntrySkipsOnlyTheMac)
-{
-    // For segments whose MAC already passed, the MAC-skipping entry
-    // point advances exactly like verifyNext() and still enforces
-    // order and anchor.
-    test::SegmentChain chain("auth-key");
-    test::SegmentChain other("auth-key");
-    const log::SealedSegment s0 = chain.next(2);
-    const log::SealedSegment s1 = chain.next(3);
-    (void)other.next(4); // other's history diverges from chain's
-    const log::SealedSegment o1 = other.next(2);
-    const log::SealedSegment s2 = chain.next(2);
-
-    log::SegmentChainVerifier full;
-    log::SegmentChainVerifier skip;
-    log::Segment a, b;
-    ASSERT_TRUE(full.verifyNext(s0, chain.codec(), &a));
-    ASSERT_TRUE(skip.verifyNextAuthenticated(s0, chain.codec(), &b));
-    EXPECT_EQ(a.entries.size(), b.entries.size());
-    EXPECT_EQ(full.chainTail(), skip.chainTail());
-
-    EXPECT_FALSE(skip.verifyNextAuthenticated(s2, chain.codec()));
-    EXPECT_EQ(skip.fault(), log::ChainFault::BrokenOrder);
-    EXPECT_FALSE(skip.verifyNextAuthenticated(o1, chain.codec()));
-    EXPECT_EQ(skip.fault(), log::ChainFault::BrokenAnchor);
-
-    ASSERT_TRUE(full.verifyNext(s1, chain.codec()));
-    ASSERT_TRUE(skip.verifyNextAuthenticated(s1, chain.codec()));
-    EXPECT_EQ(full.segmentsVerified(), skip.segmentsVerified());
-    EXPECT_EQ(full.bytesVerified(), skip.bytesVerified());
-    EXPECT_EQ(full.entriesVerified(), skip.entriesVerified());
-    EXPECT_EQ(full.chainTail(), skip.chainTail());
-}
-
 // ---------------------------------------------------------------------
 // EvidenceScanner over a live cluster
 // ---------------------------------------------------------------------
@@ -388,6 +354,30 @@ TEST_F(EvidenceScannerTest, RotAfterTheRecordWarmedIsStillCaught)
     EXPECT_EQ(ev.fault, log::ChainFault::BadAuthentication);
     EXPECT_EQ(ev.segmentsVerified, 1u);
     EXPECT_TRUE(scanner.evidence(1).intact);
+}
+
+TEST_F(EvidenceScannerTest, RotBehindTheCursorFaultsTheNextPass)
+{
+    // The scanner reads through the store's one reader, whose verdict
+    // covers the copy from its anchor, not just the new suffix: rot
+    // that lands behind the cursor faults the next pass, as it does
+    // every other reader of that copy. With R = 1 there is no copy to
+    // fail over to, and the cache keeps exactly what was read before.
+    writeAndDrain(dev0_, 48, 0x11);
+    EvidenceScanner scanner(cluster_);
+    scanner.scan();
+    const std::uint64_t seen = scanner.evidence(0).segmentsVerified;
+    ASSERT_GE(seen, 2u);
+    ASSERT_EQ(cluster_.replicaSetOf(0).size(), 1u);
+    cluster_.mutableShardStore(cluster_.shardOfDevice(0))
+        .injectBitRot(0, 1, 0, 1);
+
+    writeAndDrain(dev0_, 24, 0x33);
+    scanner.scan();
+    const StreamEvidence &ev = scanner.evidence(0);
+    EXPECT_FALSE(ev.intact);
+    EXPECT_EQ(ev.fault, log::ChainFault::BadAuthentication);
+    EXPECT_EQ(ev.segmentsVerified, seen);
 }
 
 TEST_F(EvidenceScannerTest, WarmRecordLeavesPassCostsUnchanged)

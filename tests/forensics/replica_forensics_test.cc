@@ -71,7 +71,7 @@ TEST(ReplicaForensics, SourceSelectionSkipsACorruptedCopy)
     test::FaultInjector faults(cluster);
     faults.schedule(
         {.at = units::MS,
-         .kind = test::ScriptedFault::Kind::CorruptSegment,
+         .kind = test::ScriptedFault::Kind::BitRot,
          .shard = primary,
          .stream = 7,
          .segmentIdx = 1});

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "remote/backup_store.hh"
 
@@ -529,6 +530,72 @@ TEST_F(RetentionGcTest, QuotaBackstopPrunesHeldFlooderNotHeldVictim)
     EXPECT_TRUE(store->verifyFullChain());
 }
 
+TEST_F(RetentionGcTest, AgeExpiryStopsAtARottenFrontSegment)
+{
+    // A prune opens the segment it expires. Rot on a stream's front
+    // segment must stop age expiry on that stream, unpruned and with
+    // its signed prune record untouched, while the other stream
+    // still expires; the scrub, not the GC, deals with the rot.
+    auto store = makeStore(64 * units::MiB, 10 * units::MS);
+    Tick ack = 0;
+    for (int i = 0; i < 3; i++) {
+        ASSERT_TRUE(store->ingestSegment(1, chainA_.next(2, 512),
+                                         Tick(i) * units::MS, ack));
+        ASSERT_TRUE(store->ingestSegment(2, chainB_.next(2, 512),
+                                         Tick(i) * units::MS, ack));
+    }
+    store->runRetentionGc(10 * units::MS); // expires the t=0 segments
+    ASSERT_EQ(store->prunedSegments(1), 1u);
+    const log::PruneRecord signed_before = *store->pruneRecordOf(1);
+
+    store->injectBitRot(1, 0, 0, 1);
+    store->runRetentionGc(units::SEC); // everything past the window
+    EXPECT_EQ(store->streamSegments(1).size(), 2u);
+    EXPECT_EQ(store->prunedSegments(1), 1u);
+    EXPECT_EQ(store->pruneRecordOf(1)->hmac, signed_before.hmac);
+    EXPECT_EQ(store->prunedSegments(2), 3u);
+    EXPECT_FALSE(store->verifyStreamChain(1));
+    EXPECT_EQ(store->chainFault(1), log::ChainFault::BadAuthentication);
+    EXPECT_TRUE(store->verifyStreamChain(2));
+
+    // Undone, the rot no longer holds the stream back.
+    store->injectBitRot(1, 0, 0, 1);
+    store->runRetentionGc(units::SEC + 1);
+    EXPECT_EQ(store->prunedSegments(1), 3u);
+    EXPECT_TRUE(store->verifyFullChain());
+}
+
+TEST_F(RetentionGcTest, PressureEvictionPassesOverARottenFrontSegment)
+{
+    // Pressure eviction wants the most over-quota stream's oldest
+    // segment first. When that segment is rotten it must take the
+    // other stream's instead, end, and admit the arrival.
+    auto store = makeStore(1 * units::MiB, 0);
+    Tick ack = 0;
+    Tick t = 0;
+    while (store->prunedSegments(1) == 0) {
+        ASSERT_TRUE(store->ingestSegment(1, chainA_.next(2, 56 * 1024),
+                                         t++, ack));
+    }
+    ASSERT_GT(store->streamLiveBytes(1), store->streamQuotaBytes());
+    const log::PruneRecord signed_before = *store->pruneRecordOf(1);
+    const std::size_t kept = store->streamSegments(1).size();
+    store->injectBitRot(1, 0, 0, 1);
+
+    const std::uint64_t evictions = store->stats().pressurePrunes;
+    while (store->stats().pressurePrunes == evictions) {
+        ASSERT_TRUE(store->ingestSegment(2, chainB_.next(2, 56 * 1024),
+                                         t++, ack))
+            << rejectReasonName(store->lastRejectReason());
+    }
+    EXPECT_EQ(store->streamSegments(1).size(), kept);
+    EXPECT_EQ(store->pruneRecordOf(1)->hmac, signed_before.hmac);
+    EXPECT_GT(store->prunedSegments(2), 0u);
+    EXPECT_LE(store->usedBytes(), store->capacityBytes());
+    EXPECT_FALSE(store->verifyStreamChain(1));
+    EXPECT_TRUE(store->verifyStreamChain(2));
+}
+
 TEST_F(RetentionGcTest, GcDisabledStaysAppendOnly)
 {
     BackupStoreConfig cfg;
@@ -711,14 +778,42 @@ TEST_F(VerifiedPrefixTest, EveryCorruptionIsCaughtThroughAWarmRecord)
     ASSERT_TRUE(store_->verifyStreamChain(kStream));
     for (std::uint64_t k = 0; k < 3; k++) {
         const std::uint64_t before = walked();
-        store_->corruptStoredSegment(kStream, k);
+        store_->injectBitRot(kStream, k, 0, 1);
         EXPECT_FALSE(store_->verifyStreamChain(kStream)) << "seg " << k;
+        EXPECT_EQ(store_->chainFault(kStream),
+                  log::ChainFault::BadAuthentication);
         EXPECT_EQ(store_->verifiedPrefix(kStream), k);
         EXPECT_EQ(walked(), before + k + 1); // forced re-walk
-        store_->corruptStoredSegment(kStream, k); // flips it back
+        store_->injectBitRot(kStream, k, 0, 1); // XOR 0x5A undoes it
         EXPECT_TRUE(store_->verifyStreamChain(kStream)) << "seg " << k;
+        EXPECT_EQ(store_->chainFault(kStream), log::ChainFault::None);
         EXPECT_EQ(store_->verifiedPrefix(kStream), 3u);
     }
+}
+
+TEST_F(VerifiedPrefixTest, ReadStreamVisitsFromItsCursorAndWalksOnce)
+{
+    // The one reader: segments before the cursor that the record
+    // does not cover are walked but not visited; a later read that
+    // starts inside the record only decrypts.
+    ingest(4);
+    std::vector<std::uint64_t> ids;
+    const auto collect = [&](const log::SealedSegment &sealed,
+                             log::Segment &opened) {
+        EXPECT_EQ(opened.id, sealed.id);
+        ids.push_back(sealed.id);
+    };
+    ASSERT_TRUE(store_->readStream(kStream, 2, collect));
+    EXPECT_EQ(ids, (std::vector<std::uint64_t>{2, 3}));
+    EXPECT_EQ(walked(), 4u);
+    EXPECT_EQ(store_->verifiedPrefix(kStream), 4u);
+
+    ids.clear();
+    ASSERT_TRUE(store_->readStream(kStream, 1, collect));
+    EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(walked(), 4u);
+    ASSERT_TRUE(store_->verifyStreamChain(kStream));
+    EXPECT_EQ(walked(), 4u);
 }
 
 TEST_F(VerifiedPrefixTest, AdoptedPruneRecordReanchorsTheRecord)
@@ -790,7 +885,7 @@ TEST(StoreFaultInjection, ScriptedCorruptionIsCaughtByStreamVerify)
     test::FaultInjector faults(cluster);
     faults.schedule(
         {.at = units::MS,
-         .kind = test::ScriptedFault::Kind::CorruptSegment,
+         .kind = test::ScriptedFault::Kind::BitRot,
          .shard = 0,
          .stream = 0,
          .segmentIdx = 1});

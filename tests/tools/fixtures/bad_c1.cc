@@ -1,9 +1,9 @@
 // rssd_lint fixture: chain-custody primitives referenced from a file
 // that is not on the C1 allowlist. Re-anchoring lives ONLY in
 // SegmentChainVerifier::resumeFrom and its blessed callers, skipping
-// the MAC ONLY where a verified-prefix record vouches for it, and
-// corrupting stored evidence ONLY in the store and the fleet's
-// scripted-fault actor.
+// the MAC ONLY in the codec, the verifier and the store's one reader
+// of stored evidence, and corrupting stored evidence ONLY in the
+// store and the fleet's scripted-fault actor.
 // Deliberately bad — never compiled.
 
 #include "log/chain_verify.hh"
@@ -23,10 +23,8 @@ sneakyReanchor(log::SegmentChainVerifier &v,
 }
 
 log::Segment
-sneakyOpen(log::SegmentChainVerifier &v, const log::SealedSegment &s,
-           const log::SegmentCodec &codec)
+sneakyOpen(const log::SealedSegment &s, const log::SegmentCodec &codec)
 {
-    v.verifyNextAuthenticated(s, codec);                    // C1
     return codec.openVerified(s);                           // C1
 }
 
@@ -35,7 +33,6 @@ sneakyRot(remote::BackupCluster &cluster)
 {
     remote::BackupStore &store = cluster.mutableShardStore(0); // C1
     store.injectBitRot(0, 1, 7, 5);                         // C1
-    store.corruptStoredSegment(0, 1);                       // C1
 }
 
 } // namespace rssd::bad

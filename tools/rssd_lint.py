@@ -21,11 +21,10 @@ those invariants as named, suppressible rules:
       --fix-manifests re-pins it
   C1  chain-custody locality: resumeFrom / sealPrune / verifyPrune /
       adoptPruneRecord (the "ONE re-anchoring primitive" rule), the
-      MAC-skipping openVerified / verifyNextAuthenticated (only
-      where a BackupStore verified-prefix record vouches for the MAC)
-      and the fault-injection mutators injectBitRot /
-      corruptStoredSegment / mutableShardStore are referenced only
-      from allowlisted files
+      MAC-skipping openVerified (only the codec, the verifier and
+      the BackupStore reader that consults its verified-prefix
+      record) and the fault-injection mutators injectBitRot /
+      mutableShardStore are referenced only from allowlisted files
   P1  panicIf(cond, <string-building expression>) in hot-path files:
       the message argument is evaluated unconditionally, so a
       concatenation or std::to_string heap-allocates on every call
@@ -35,9 +34,9 @@ offending line, or put `// rssd-lint: allow-next-line(RULE) <reason>`
 on the line above.  A reason is mandatory; an annotation without one
 is itself a finding (rule LINT).
 
-Engine: uses libclang tokenization when the python bindings and a
-libclang shared object are importable, and a built-in C++ tokenizer
-otherwise — same rules either way, so CI can never silently skip.
+Engine: a built-in C++ tokenizer (comments, literals, identifiers,
+punctuation) with no dependency beyond the Python standard library,
+so every run applies the same rules.
 
 Exit codes: 0 clean, 1 findings (or manifest drift), 2 usage/internal
 error.
@@ -115,19 +114,13 @@ MANIFEST_DIR = "tools/manifests"
 
 # C1: custody symbols and the only files allowed to reference them.
 # Scope: src/ — tests exercise the primitives directly by design.
-# The MAC-skipping entry points are legal only in the codec, the
-# verifier, and the readers that consult the store's verified-prefix
-# record before skipping.
-C1_MAC_SKIP_FILES = {
-    "src/log/segment.hh", "src/log/segment.cc",
-    "src/log/chain_verify.hh", "src/log/chain_verify.cc",
-    "src/remote/backup_store.cc", "src/core/history.cc",
-    "src/forensics/evidence.cc",
-}
+# Skipping the MAC is legal only in the codec, the verifier right
+# after its own MAC, and BackupStore, whose readStream() is the one
+# reader of stored evidence and consults the verified-prefix record.
 C1_CUSTODY = {
     "resumeFrom": {
         "src/log/chain_verify.hh", "src/log/chain_verify.cc",
-        "src/remote/backup_store.cc", "src/forensics/evidence.cc",
+        "src/remote/backup_store.cc",
     },
     "sealPrune": {
         "src/log/segment.hh", "src/log/segment.cc",
@@ -145,17 +138,16 @@ C1_CUSTODY = {
         "src/remote/backup_cluster.hh", "src/remote/backup_cluster.cc",
         "src/remote/repair_engine.cc",
     },
-    "openVerified": C1_MAC_SKIP_FILES,
-    "verifyNextAuthenticated": C1_MAC_SKIP_FILES,
+    "openVerified": {
+        "src/log/segment.hh", "src/log/segment.cc",
+        "src/log/chain_verify.cc", "src/remote/backup_store.cc",
+    },
     # Fault injection that corrupts stored evidence: the store's own
     # mutators, reached in product code only by the fleet's
     # scripted-fault actor.
     "injectBitRot": {
         "src/remote/backup_store.hh", "src/remote/backup_store.cc",
         "src/fleet/scheduler.cc",
-    },
-    "corruptStoredSegment": {
-        "src/remote/backup_store.hh", "src/remote/backup_store.cc",
     },
     "mutableShardStore": {
         "src/remote/backup_cluster.hh", "src/remote/backup_cluster.cc",
@@ -184,7 +176,7 @@ RULES = {
 }
 
 # --------------------------------------------------------------------------
-# Tokenization. The fallback tokenizer understands comments, string /
+# Tokenization. The tokenizer understands comments, string /
 # char / raw-string literals, identifiers, numbers, and single-char
 # punctuation — exactly enough for the rules above.
 # --------------------------------------------------------------------------
@@ -220,7 +212,7 @@ class Annotation:
         self.raw_line = raw_line  # line the comment sits on
 
 
-def tokenize_fallback(text):
+def tokenize(text):
     """Tokenize C++ source; returns (tokens, annotations)."""
     tokens = []
     annots = []
@@ -304,62 +296,6 @@ def _ident_at(text, i):
     return text[i:j]
 
 
-def _try_libclang():
-    try:
-        from clang import cindex  # noqa: F401
-        idx = cindex.Index.create()
-        return idx, cindex
-    except Exception:
-        return None, None
-
-
-_LIBCLANG_INDEX, _CINDEX = _try_libclang()
-ENGINE = "libclang" if _LIBCLANG_INDEX is not None else "tokenizer"
-
-
-def tokenize_libclang(path, text):
-    """Tokenize via libclang (single-file, no includes needed for a
-    pure token stream). Annotations still come from the fallback
-    scanner, which is authoritative for comments."""
-    tu = _CINDEX.TranslationUnit.from_source(
-        path, args=["-std=c++20", "-fsyntax-only"],
-        unsaved_files=[(path, text)],
-        options=_CINDEX.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD)
-    tokens = []
-    kind_map = {
-        _CINDEX.TokenKind.IDENTIFIER: "ident",
-        _CINDEX.TokenKind.KEYWORD: "ident",
-        _CINDEX.TokenKind.LITERAL: "num",
-        _CINDEX.TokenKind.PUNCTUATION: "punct",
-    }
-    for t in tu.cursor.translation_unit.get_tokens(
-            extent=tu.cursor.extent):
-        kind = kind_map.get(t.kind)
-        if kind is None:
-            continue  # comments handled by the fallback scanner
-        text_ = t.spelling
-        if kind == "num" and text_[:1] in "\"'R":
-            kind = "string" if text_[:1] != "'" else "char"
-        if kind == "punct" and len(text_) > 1:
-            # The rules reason over single-char punctuation.
-            for k, ch in enumerate(text_):
-                tokens.append(Token("punct", ch, t.location.line))
-            continue
-        tokens.append(Token(kind, text_, t.location.line))
-    return tokens
-
-
-def tokenize(path, text):
-    _, annots = tokenize_fallback(text)
-    if _LIBCLANG_INDEX is not None:
-        try:
-            return tokenize_libclang(path, text), annots
-        except Exception:
-            pass
-    tokens, _ = tokenize_fallback(text)
-    return tokens, annots
-
-
 # --------------------------------------------------------------------------
 # Findings and suppression.
 # --------------------------------------------------------------------------
@@ -391,7 +327,7 @@ class FileContext:
         with open(os.path.join(root, relpath), "r",
                   encoding="utf-8", errors="replace") as f:
             self.text = f.read()
-        self.tokens, self.annotations = tokenize(relpath, self.text)
+        self.tokens, self.annotations = tokenize(self.text)
         self.allow = {}  # line -> {rule: reason}
         for a in self.annotations:
             for r in a.rules:
@@ -635,7 +571,7 @@ def _d3_current(root, spec):
         return None
     with open(tu_path, "r", encoding="utf-8", errors="replace") as f:
         text = f.read()
-    toks, _ = tokenize(spec["tu"], text)
+    toks, _ = tokenize(text)
     keys, dynamic = _extract_keys(toks)
     schema = _extract_constant(root, spec["header"], spec["constant"])
     return {"schema": schema, "keys": keys, "dynamic": dynamic}
@@ -699,7 +635,7 @@ def check_d3(root):
             text = f.read()
         if '"schema"' not in text:
             continue
-        toks, _ = tokenize(relpath, text)
+        toks, _ = tokenize(text)
         keys, _dyn = _extract_keys(toks)
         if "schema" in keys:
             out.append(Finding(
@@ -962,14 +898,13 @@ def main(argv=None):
         for f in suppressed:
             print(f"{f.file}:{f.line}: [{f.rule}] suppressed "
                   f"({f.reason})")
-        print(f"rssd_lint ({ENGINE}): {len(files)} files, "
+        print(f"rssd_lint: {len(files)} files, "
               f"{len(active)} finding(s), "
               f"{len(suppressed)} suppressed")
 
     if args.json:
         report = {
             "tool": "rssd_lint",
-            "engine": ENGINE,
             "root": root,
             "filesScanned": len(files),
             "rules": [{"id": rid, "summary": s}
