@@ -107,6 +107,19 @@ BENCHMARK(BM_LzCompress)
     ->Args({65536, 90});
 
 void
+BM_DataGenPage(benchmark::State &state)
+{
+    // One flash page (4 KiB) per iteration, the size every simulated
+    // write asks for; arg: compressibility in percent.
+    compress::DataGenerator gen(1, state.range(0) / 100.0);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gen.page(4096));
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * 4096);
+}
+BENCHMARK(BM_DataGenPage)->Arg(0)->Arg(55)->Arg(90);
+
+void
 BM_LzDecompress(benchmark::State &state)
 {
     compress::DataGenerator gen(1, 0.55);
@@ -189,6 +202,19 @@ BM_SegmentSerialize(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * bytes);
 }
 BENCHMARK(BM_SegmentSerialize)->Args({8192, 0})->Args({256, 64});
+
+void
+BM_LzCompressSegment(benchmark::State &state)
+{
+    // The bytes BM_SegmentSeal compresses: a serialized segment of
+    // 256 log entries and 64 retained pages.
+    const auto buf = benchSegment(256, 64).serialize();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(compress::lzCompress(buf));
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * buf.size());
+}
+BENCHMARK(BM_LzCompressSegment);
 
 void
 BM_SegmentSeal(benchmark::State &state)

@@ -12,13 +12,18 @@ namespace {
 
 constexpr int kHashBits = 15;
 constexpr std::size_t kHashSize = 1u << kHashBits;
-constexpr std::uint32_t kNoPos = 0xffffffffu;
 
 std::uint32_t
-hash4(const std::uint8_t *p)
+load32(const std::uint8_t *p)
 {
     std::uint32_t v;
     std::memcpy(&v, p, 4);
+    return v;
+}
+
+std::uint32_t
+hash4(std::uint32_t v)
+{
     return (v * 2654435761u) >> (32 - kHashBits);
 }
 
@@ -78,31 +83,38 @@ lzCompress(const Bytes &input)
         return out;
     }
 
-    // head[h] = most recent position with hash h.
-    std::vector<std::uint32_t> head(kHashSize, kNoPos);
+    const std::uint8_t *const in = input.data();
+    const std::size_t last = n - kMinMatch; // the last parse position
+
+    // head[h] = most recent position with hash h. An empty slot holds
+    // `last`: it is loadable (last + 4 == n) and never a candidate,
+    // because every position that reads it is at or before it, so
+    // pos - last - 1 wraps past kMaxDistance.
+    std::vector<std::uint32_t> head(kHashSize,
+                                    static_cast<std::uint32_t>(last));
 
     std::size_t pos = 0;
     std::size_t literal_start = 0;
 
-    while (pos + kMinMatch <= n) {
-        const std::uint32_t h = hash4(&input[pos]);
-        const std::uint32_t cand = head[h];
+    while (pos <= last) {
+        const std::uint32_t cur = load32(in + pos);
+        const std::uint32_t h = hash4(cur);
+        const std::size_t cand = head[h];
         head[h] = static_cast<std::uint32_t>(pos);
 
-        std::size_t match_len = 0;
-        if (cand != kNoPos && pos - cand <= kMaxDistance &&
-            std::memcmp(&input[cand], &input[pos], kMinMatch) == 0) {
-            // Extend the match as far as the format allows.
+        // One branch, not three: the 4-byte compare and the distance
+        // test (1 <= pos - cand <= kMaxDistance) fold into one flag,
+        // so a fresh table's coin-flip "slot empty?" never branches.
+        const std::uint32_t miss = (load32(in + cand) ^ cur) |
+            static_cast<std::uint32_t>(pos - cand - 1 >= kMaxDistance);
+        if (miss == 0) {
+            // Extend the match as far as the format allows. Pointer
+            // arithmetic, not operator[]: pos + kMinMatch may be
+            // exactly n (an empty extension window).
             const std::size_t limit = std::min(kMaxMatch, n - pos);
-            // data() arithmetic, not operator[]: pos + kMinMatch may
-            // be exactly input.size() (an empty extension window).
-            match_len = kMinMatch +
-                commonPrefix(input.data() + cand + kMinMatch,
-                             input.data() + pos + kMinMatch,
+            const std::size_t match_len = kMinMatch +
+                commonPrefix(in + cand + kMinMatch, in + pos + kMinMatch,
                              limit - kMinMatch);
-        }
-
-        if (match_len >= kMinMatch) {
             flushLiterals(input, literal_start, pos, out);
             const std::size_t dist = pos - cand;
             out.push_back(static_cast<std::uint8_t>(
@@ -112,9 +124,9 @@ lzCompress(const Bytes &input)
             // Insert hash entries inside the match so later matches
             // can reference its interior.
             const std::size_t insert_end =
-                std::min(pos + match_len, n - kMinMatch + 1);
+                std::min(pos + match_len, last + 1);
             for (std::size_t i = pos + 1; i < insert_end; i++)
-                head[hash4(&input[i])] = static_cast<std::uint32_t>(i);
+                head[hash4(load32(in + i))] = static_cast<std::uint32_t>(i);
             pos += match_len;
             literal_start = pos;
         } else {

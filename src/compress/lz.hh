@@ -8,8 +8,15 @@
  *     0x00..0x7f : literal run of (ctrl + 1) bytes follows (1..128)
  *     0x80..0xff : match; length = (ctrl & 0x7f) + kMinMatch,
  *                  followed by a 2-byte little-endian distance (1..65535)
- * The compressor uses a 4-byte-hash chained window search, greedy
- * parse. Decompression is exact; roundtrip is tested for all inputs.
+ * The compressor hashes each position's next 4 bytes into a table of
+ * 2^15 single slots, each holding the most recent position with that
+ * hash (no chain), and parses greedily: it takes the slot's position
+ * as the match candidate and extends a match as far as it goes. The
+ * slot semantics and the greedy parse decide every output byte, so
+ * they are wire format as much as the token layout is: a speed-up
+ * must keep both, and the golden digests in tests/compress/lz_test.cc
+ * fail on any change. Decompression is exact; roundtrip is tested for
+ * all inputs.
  */
 
 #ifndef RSSD_COMPRESS_LZ_HH

@@ -55,6 +55,10 @@ std::uint64_t
 Rng::below(std::uint64_t bound)
 {
     panicIf(bound == 0, "Rng::below(0)");
+    // A power of two divides 2^64, so the loop below would never
+    // reject and r % bound is this mask of the same single draw.
+    if ((bound & (bound - 1)) == 0)
+        return next() & (bound - 1);
     // Rejection sampling to avoid modulo bias.
     const std::uint64_t threshold = -bound % bound;
     for (;;) {

@@ -28,7 +28,11 @@ class Rng
     /** Next raw 64-bit value. */
     std::uint64_t next();
 
-    /** Uniform integer in [0, bound) using rejection sampling. */
+    /**
+     * Uniform integer in [0, bound) using rejection sampling. A
+     * power-of-two bound never rejects, so it is a mask of a single
+     * draw. Panics on a zero bound.
+     */
     std::uint64_t below(std::uint64_t bound);
 
     /** Uniform integer in [lo, hi] inclusive. */

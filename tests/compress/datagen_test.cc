@@ -8,6 +8,7 @@
 
 #include "compress/datagen.hh"
 #include "crypto/entropy.hh"
+#include "crypto/sha256.hh"
 
 namespace rssd::compress {
 namespace {
@@ -62,6 +63,32 @@ TEST(DataGen, EntropyDecreasesWithCompressibility)
     const double e_hi = crypto::shannonEntropy(hi.page(65536));
     EXPECT_GT(e_lo, 7.5);
     EXPECT_LT(e_hi, 5.0);
+}
+
+TEST(DataGen, GoldenFirstPages)
+{
+    // The generator's bytes are the workload every benchmark and
+    // golden digest rests on. Each page is the first after
+    // construction, so the dictionary fill's draws are covered too.
+    struct Golden
+    {
+        double compressibility;
+        const char *digest;
+    };
+    const Golden goldens[] = {
+        {0.0,
+         "95da2944841ddbdad7835f8eb4a5544ac2798d0092166cd64850f5722d47ecca"},
+        {0.55,
+         "3982fbbc0f4f5afdffabd7955e530811e979bca750a5d244c8225474c76d55c9"},
+        {1.0,
+         "7facbb62559bda039bcea555457c3f4f87570e8d860c3b3876d8a50b858a5d63"},
+    };
+    for (const Golden &g : goldens) {
+        DataGenerator gen(2026, g.compressibility);
+        EXPECT_EQ(crypto::toHex(crypto::Sha256::hash(gen.page(4096))),
+                  g.digest)
+            << "compressibility " << g.compressibility;
+    }
 }
 
 TEST(DataGen, ClampsOutOfRangeKnob)

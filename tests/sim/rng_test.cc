@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "sim/rng.hh"
 
@@ -45,6 +46,43 @@ TEST(Rng, BelowStaysInRange)
         for (int i = 0; i < 200; i++)
             EXPECT_LT(r.below(bound), bound);
     }
+}
+
+/** Rng::below without its power-of-two path: rejection sampling. */
+std::uint64_t
+referenceBelow(Rng &rng, std::uint64_t bound)
+{
+    const std::uint64_t threshold = -bound % bound;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+TEST(Rng, BelowMatchesRejectionReference)
+{
+    // Twin generators: every result must agree, and both must consume
+    // the same number of draws (checked by their next raw value).
+    std::vector<std::uint64_t> bounds;
+    for (int k = 0; k < 64; k++)
+        bounds.push_back(1ull << k);
+    for (std::uint64_t b : {3ull, 10ull, 48ull, 1000ull, (1ull << 63) + 1})
+        bounds.push_back(b);
+    for (const std::uint64_t bound : bounds) {
+        Rng fast(bound), ref(bound);
+        for (int i = 0; i < 10000; i++) {
+            ASSERT_EQ(fast.below(bound), referenceBelow(ref, bound))
+                << "bound " << bound << ", draw " << i;
+        }
+        ASSERT_EQ(fast.next(), ref.next()) << "bound " << bound;
+    }
+}
+
+TEST(RngDeathTest, BelowZeroPanics)
+{
+    Rng r(5);
+    EXPECT_DEATH(r.below(0), "below\\(0\\)");
 }
 
 TEST(Rng, BetweenInclusive)
